@@ -25,20 +25,23 @@
 //!   graph for a path that only needs its near side;
 //! * reuses one [`SearchScratch`] arena and per-width channel-success
 //!   tables (`1 - (1 - p_e)^w` per edge, computed once per width, not
-//!   once per relaxation).
+//!   once per relaxation);
+//! * stamps each search's Yen bans once into a reused [`BanMask`], so
+//!   the ban check on every relaxed edge is an array compare instead of
+//!   two hash lookups.
 //!
-//! All three are result-preserving: the settle order, tie-breaking, and
+//! All four are result-preserving: the settle order, tie-breaking, and
 //! `f64` arithmetic are exactly those of the per-width sweep, so the
 //! output is byte-identical to [`paths_selection_reference`] — the
 //! retained original implementation — which the differential harness
 //! (`crates/core/tests/alg2_differential.rs`) enforces over random
 //! networks, loads, seeds, and modes.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
-use fusion_graph::search::{max_product_restore, max_product_resume, ResumeSnapshot};
+use fusion_graph::search::max_product_resume;
 use fusion_graph::{
-    CertEntry, CertificateRecorder, DescentReach, Metric, NodeId, Path, SearchCounters,
+    BanMask, CertEntry, CertificateRecorder, DescentReach, Metric, NodeId, Path, SearchCounters,
     SearchScratch, WidthFeasibility,
 };
 use fusion_telemetry::{Counter, Registry};
@@ -348,9 +351,8 @@ struct DescentState {
     /// Search log/replay plane; installed per width by
     /// [`SelectionEngine::select_demand`], `None` in the batch engines.
     replay: Option<ReplayState>,
-    /// Per-source shared shortest-path trees; opted into by
-    /// [`SelectionEngine::enable_spt`], `None` everywhere else.
-    spt: Option<Box<SptCache>>,
+    /// The current search's bans, stamped from its [`PathConstraints`].
+    bans: BanMask,
     counters: SelectionCounters,
 }
 
@@ -367,7 +369,7 @@ impl DescentState {
             reach: DescentReach::new(),
             recorder: None,
             replay: None,
-            spt: None,
+            bans: BanMask::new(),
             counters: SelectionCounters::from_registry(registry),
         }
     }
@@ -447,14 +449,35 @@ fn assemble_width_major(
     out
 }
 
+/// Stamps `constraints` into `bans` for a graph of `n` nodes: every
+/// banned node, and both endpoints of every banned hop.
+fn stamp_bans(bans: &mut BanMask, constraints: &PathConstraints, n: usize) {
+    bans.begin(n);
+    for &v in &constraints.banned_nodes {
+        bans.ban_node(v);
+    }
+    for &(u, v) in &constraints.banned_hops {
+        bans.mark_hop(u, v);
+    }
+}
+
+/// `true` if `constraints` forbid stepping from `from` into `to`, read
+/// from their stamped `bans`: one compare for the node ban, and the exact
+/// hop lookup only when both endpoints carry a hop mark.
+#[inline]
+fn step_banned(bans: &BanMask, constraints: &PathConstraints, from: NodeId, to: NodeId) -> bool {
+    bans.node_banned(to) || (bans.hop_marked(from, to) && constraints.hop_banned(from, to))
+}
+
 /// Width-`width` largest-rate search from `source` to the demand's
 /// destination under the descent state: preconditions and feasibility
 /// rules are exactly those of [`largest_rate_path_with`] (the width view
 /// encodes them — `endpoint_feasible` is `capacity >= w`,
 /// `relay_feasible` is "switch with `capacity >= 2w`"), but the search
 /// is goal-directed (pauses when the destination settles), reads channel
-/// successes from the per-width table, and is skipped outright when the
-/// reachability view certifies it cannot succeed.
+/// successes from the per-width table, checks bans against the stamped
+/// [`BanMask`], and is skipped outright when the reachability view
+/// certifies it cannot succeed.
 fn descent_search(
     net: &QuantumNetwork,
     source: NodeId,
@@ -463,7 +486,6 @@ fn descent_search(
     constraints: &PathConstraints,
     ctx: &DescentContext,
     state: &mut DescentState,
-    use_spt: bool,
 ) -> Option<(Path, Metric)> {
     debug_assert_eq!(state.reach.width(), width, "descent out of step");
     if source == dest {
@@ -473,7 +495,7 @@ fn descent_search(
         scratch,
         reach,
         recorder,
-        spt,
+        bans,
         counters,
         ..
     } = state;
@@ -489,7 +511,8 @@ fn descent_search(
     if !ctx.feas.endpoint_feasible(source, width) || !ctx.feas.endpoint_feasible(dest, width) {
         return None;
     }
-    if constraints.banned_nodes.contains(&source) || constraints.banned_nodes.contains(&dest) {
+    stamp_bans(bans, constraints, net.node_count());
+    if bans.node_banned(source) || bans.node_banned(dest) {
         return None;
     }
     // Monotone-feasibility certificate: banned nodes and hops only shrink
@@ -512,23 +535,10 @@ fn descent_search(
         return None;
     }
 
-    // Unconstrained first searches may be answered from the per-source
-    // shared SPT: same bytes (the tree is a paused run of exactly this
-    // search's relaxation sequence over the dest-agnostic subgraph),
-    // usually far fewer settles.
-    if use_spt && constraints.banned_nodes.is_empty() && constraints.banned_hops.is_empty() {
-        if let Some(spt) = spt.as_deref_mut() {
-            let result = spt.serve(net, ctx, width, source, dest, recorder.as_mut());
-            if let (Some(r), Some((p, _))) = (recorder.as_mut(), result.as_ref()) {
-                r.commit_success(p);
-            }
-            return result;
-        }
-    }
-
     let q = net.swap_success();
     let feas = &ctx.feas;
     let channel = &ctx.channel[(width - 1) as usize];
+    let bans = &*bans;
     let mut rec = recorder.as_mut();
     let result = max_product_resume(
         scratch,
@@ -536,7 +546,7 @@ fn descent_search(
         source,
         |from, e| {
             let to = e.other(from);
-            if constraints.banned_nodes.contains(&to) || constraints.hop_banned(from, to) {
+            if step_banned(bans, constraints, from, to) {
                 return None;
             }
             // Entering `to` as an intermediate pins 2w qubits there; only
@@ -600,7 +610,7 @@ fn driven_search(
     if let Some(r) = state.recorder.as_mut() {
         r.set_ordinal(ordinal);
     }
-    let result = descent_search(net, source, dest, width, constraints, ctx, state, !is_spur);
+    let result = descent_search(net, source, dest, width, constraints, ctx, state);
     if let Some(rp) = state.replay.as_mut() {
         rp.log.push(result.clone());
     }
@@ -790,298 +800,6 @@ pub struct RepairSeed {
     pub intact: u32,
 }
 
-/// Counter handles for the per-source shared shortest-path-tree cache.
-/// Default handles are no-ops; wire real ones with
-/// [`SptCounters::from_registry`]. Counts never influence routing output.
-#[derive(Debug, Clone, Default)]
-pub struct SptCounters {
-    /// First-path searches routed through the SPT cache.
-    pub queries: Counter,
-    /// Queries that found a still-valid parked tree to resume.
-    pub hits: Counter,
-    /// Parked trees discarded because a recorded relay answer flipped.
-    pub invalidated: Counter,
-    /// Settled nodes inherited from parked trees instead of re-searched.
-    pub shared_settles: Counter,
-}
-
-impl SptCounters {
-    /// Creates handles named `alg2.spt.{queries,hits,invalidated,
-    /// shared_settles}` in `registry`.
-    #[must_use]
-    pub fn from_registry(registry: &Registry) -> Self {
-        if !registry.is_enabled() {
-            return SptCounters::default();
-        }
-        SptCounters {
-            queries: registry.counter("alg2.spt.queries"),
-            hits: registry.counter("alg2.spt.hits"),
-            invalidated: registry.counter("alg2.spt.invalidated"),
-            shared_settles: registry.counter("alg2.spt.shared_settles"),
-        }
-    }
-}
-
-/// One parked per-`(source, width)` max-product run over the dest-agnostic
-/// switch subgraph, resumable where it paused.
-#[derive(Debug, Clone)]
-struct SptTree {
-    snapshot: ResumeSnapshot,
-    /// Settle order (what the resume capture needs back).
-    order: Vec<NodeId>,
-    /// Every switch whose relay answer the tree's relaxations consulted —
-    /// the tree's exact validity dependency set.
-    read_set: HashSet<NodeId>,
-    /// Flip-clock value the tree was last verified/extended at.
-    stamp: u64,
-    /// LRU clock value of the last serve.
-    last_used: u64,
-}
-
-/// A per-source shortest-path-tree cache serving the engine's
-/// unconstrained first-path searches (see
-/// [`SelectionEngine::enable_spt`]).
-///
-/// The key idea: an unconstrained width-`w` search's relaxation plane is
-/// *destination-agnostic* except at the destination itself — every
-/// non-destination target is gated on `relay_feasible(to, w)`, and users
-/// (relay width 0) are never relaxed at all. So one paused
-/// [`max_product_resume`] run per `(source, width)` over switch targets
-/// only is shared by every destination: a query folds the destination's
-/// incident relaxations in on top (in settle order, with the plain
-/// search's exact improvement rule) and stops precisely where the
-/// goal-directed search would have settled the destination. Trees are
-/// parked as [`ResumeSnapshot`]s and extended on later, deeper queries —
-/// the restored run relaxes in the original sequence, so results stay
-/// byte-identical to searching from scratch.
-///
-/// Validity follows the same generation-stamp discipline as the serve
-/// layer's candidate cache: every relay answer a tree's construction read
-/// is in its `read_set`; `SptCache::note_node_delta` advances a flip
-/// clock and records, per width band, the tick at which each node's relay
-/// answer last flipped; a tree is resumable iff none of its reads flipped
-/// after its stamp.
-#[derive(Debug, Clone, Default)]
-pub struct SptCache {
-    trees: HashMap<(NodeId, u32), SptTree>,
-    scratch: SearchScratch,
-    /// `last_flip[w - 1][node]` = flip-clock tick of the most recent
-    /// relay-answer flip of `node` at width `w`; rows grow lazily as
-    /// widths are first queried.
-    last_flip: Vec<Vec<u64>>,
-    /// Flip clock: advances once per reported capacity delta.
-    tick: u64,
-    /// LRU clock: advances once per serve.
-    use_clock: u64,
-    counters: SptCounters,
-}
-
-impl SptCache {
-    /// Parked-tree cap; eviction is deterministic (oldest `last_used`,
-    /// ties on key), so runs are reproducible.
-    const MAX_TREES: usize = 512;
-
-    fn ensure_width(&mut self, nodes: usize, width: u32) {
-        while self.last_flip.len() < width as usize {
-            // A fresh row (all zeros) is sound: no tree at this width can
-            // exist yet, and new trees stamp at the current tick.
-            self.last_flip.push(vec![0; nodes]);
-        }
-    }
-
-    /// Records one applied capacity delta `old -> new` at `node`: bumps
-    /// the flip clock and stamps every width band whose relay answer at
-    /// `node` the delta flips. Endpoint-threshold flips are irrelevant —
-    /// trees only ever read relay answers (the engine records endpoint
-    /// reads per slice, outside the tree).
-    fn note_node_delta(&mut self, net: &QuantumNetwork, node: NodeId, old: u32, new: u32) {
-        self.tick += 1;
-        let (relay_old, _) = node_width_thresholds(net, node, old);
-        let (relay_new, _) = node_width_thresholds(net, node, new);
-        if relay_old == relay_new {
-            return;
-        }
-        let lo = relay_old.min(relay_new);
-        let hi = relay_old.max(relay_new);
-        for w in 1..=self.last_flip.len() as u32 {
-            // `relay >= w` changes exactly for lo < w <= hi — the same
-            // band arithmetic the serve cache's `flips` uses.
-            if lo < w && w <= hi {
-                self.last_flip[(w - 1) as usize][node.index()] = self.tick;
-            }
-        }
-    }
-
-    /// Answers one unconstrained width-`width` first-path query from
-    /// `source` to `dest`, byte-identical to the plain goal-directed
-    /// [`max_product_resume`]`.run_to(dest)` the engine would otherwise
-    /// issue. Folds the tree's relay reads into `recorder` (a superset of
-    /// the plain search's reads restricted to switches; user relay reads
-    /// are provably answer-constant and omitted).
-    fn serve(
-        &mut self,
-        net: &QuantumNetwork,
-        ctx: &DescentContext,
-        width: u32,
-        source: NodeId,
-        dest: NodeId,
-        recorder: Option<&mut CertificateRecorder>,
-    ) -> Option<(Path, Metric)> {
-        self.ensure_width(net.node_count(), width);
-        self.counters.queries.inc();
-        let key = (source, width);
-        let row = &self.last_flip[(width - 1) as usize];
-        let parked = match self.trees.remove(&key) {
-            Some(t) if t.read_set.iter().all(|v| row[v.index()] <= t.stamp) => {
-                self.counters.hits.inc();
-                self.counters.shared_settles.add(t.order.len() as u64);
-                Some(t)
-            }
-            Some(_) => {
-                self.counters.invalidated.inc();
-                None
-            }
-            None => None,
-        };
-        let (snapshot, mut order, mut read_set) = match parked {
-            Some(SptTree {
-                snapshot,
-                order,
-                read_set,
-                ..
-            }) => (Some(snapshot), order, read_set),
-            None => (None, Vec::new(), HashSet::new()),
-        };
-
-        let graph = net.graph();
-        let q = net.swap_success();
-        let feas = &ctx.feas;
-        let channel = &ctx.channel[(width - 1) as usize];
-        let reads = &mut read_set;
-        let ef = move |from, e: fusion_graph::EdgeRef<'_, crate::network::EdgeProps>| {
-            let to = e.other(from);
-            if !net.is_switch(to) {
-                // Dest-agnostic tree: non-switch targets are never
-                // relaxed into the tree — each query folds its own
-                // destination in via the overlay below. Sound because a
-                // user's relay answer is 0 at every capacity: the plain
-                // search reads it but the answer can never flip.
-                return None;
-            }
-            reads.insert(to);
-            if !feas.relay_feasible(to, width) {
-                return None;
-            }
-            Some(channel[e.id.index()])
-        };
-        let tf = |via: NodeId| net.is_switch(via).then_some(q);
-        let mut run = match &snapshot {
-            Some(s) => max_product_restore(&mut self.scratch, graph, s, ef, tf),
-            None => max_product_resume(&mut self.scratch, graph, source, ef, tf),
-        };
-
-        // Destination overlay: replays the plain search's dest
-        // relaxations (same settle order, same first-set-then-strict-gain
-        // improvement rule, same f64 expression) without touching the
-        // shared tree.
-        let mut best = 0.0_f64;
-        let mut pred: Option<NodeId> = None;
-        let fold = |u: NodeId, dist_u: f64, best: &mut f64, pred: &mut Option<NodeId>| {
-            let through = if u == source { 1.0 } else { q };
-            for e in graph.incident_edges(u) {
-                if e.other(u) != dest {
-                    continue;
-                }
-                let nm = dist_u * through * channel[e.id.index()];
-                if pred.is_none() || nm > *best {
-                    *best = nm;
-                    *pred = Some(u);
-                }
-            }
-        };
-        for &u in &order {
-            let d = run.label(u).expect("settled nodes carry final labels");
-            fold(u, d, &mut best, &mut pred);
-        }
-
-        let goal = loop {
-            if run.is_settled(dest) {
-                // In-tree destination (relay-feasible switch): the tree
-                // itself settled it, exactly as the plain search would.
-                let d = run.label(dest).expect("settled dest is labeled");
-                break (d > 0.0).then(|| {
-                    let path = run.path_to(dest).expect("settled dest has a path");
-                    (path, Metric::new(d))
-                });
-            }
-            let next = run.peek_next();
-            let stop = match next {
-                // Every remaining frontier entry ranks strictly below
-                // dest's would-be heap entry: the plain goal-directed
-                // search would pop — and settle — dest next.
-                Some((m, u)) => (m, u) < (Metric::new(best), dest),
-                None => true,
-            };
-            if stop {
-                break (best > 0.0)
-                    .then_some(pred)
-                    .flatten()
-                    .map(|p| {
-                        let mut nodes = run
-                            .path_to(p)
-                            .expect("settled predecessor has a path")
-                            .nodes()
-                            .to_vec();
-                        nodes.push(dest);
-                        (Path::new(nodes), Metric::new(best))
-                    });
-            }
-            let (m, u) = run.settle_one().expect("peeked entry settles");
-            order.push(u);
-            fold(u, m.value(), &mut best, &mut pred);
-        };
-
-        let snapshot = run.capture(&order);
-        drop(run);
-        if let Some(r) = recorder {
-            // Replay the tree's relay reads through the certificate
-            // classifier (order-independent: the recorder's drain sorts,
-            // and every read this width shares one ordinal): blocked
-            // answers are tracked, feasible ones stay raw-only unless the
-            // caller commits a returned path through them. All members
-            // are switches — the tree never relaxes users.
-            for &v in read_set.iter() {
-                r.read_relay(v, feas.relay_feasible(v, width), true);
-            }
-        }
-        self.use_clock += 1;
-        self.trees.insert(
-            key,
-            SptTree {
-                snapshot,
-                order,
-                read_set,
-                stamp: self.tick,
-                last_used: self.use_clock,
-            },
-        );
-        if self.trees.len() > Self::MAX_TREES {
-            let victim = self
-                .trees
-                .keys()
-                .map(|&(s, w)| {
-                    let t = &self.trees[&(s, w)];
-                    (t.last_used, s, w)
-                })
-                .min()
-                .map(|(_, s, w)| (s, w))
-                .expect("cache over cap is nonempty");
-            self.trees.remove(&victim);
-        }
-        goal
-    }
-}
-
 /// A persistent width-descent engine for callers that route demands one
 /// at a time against changing capacity vectors — the serve layer's
 /// admission path.
@@ -1119,34 +837,6 @@ impl SelectionEngine {
     pub fn set_registry(&mut self, registry: &Registry) {
         self.state.scratch.counters = SearchCounters::from_registry(registry, "alg2.search");
         self.state.counters = SelectionCounters::from_registry(registry);
-        if let Some(spt) = self.state.spt.as_deref_mut() {
-            spt.counters = SptCounters::from_registry(registry);
-        }
-    }
-
-    /// Opts this engine into the per-source shared shortest-path-tree
-    /// cache (see [`SptCache`]): unconstrained first searches are served
-    /// from a paused, per-`(source, width)` resumable Dijkstra run that
-    /// is extended on demand and revalidated against relay-band flip
-    /// stamps, instead of re-settling the shared prefix from scratch.
-    /// Output bytes are unaffected; `alg2.spt.*` counters record into
-    /// `registry`.
-    pub fn enable_spt(&mut self, registry: &Registry) {
-        let mut spt = Box::<SptCache>::default();
-        spt.counters = SptCounters::from_registry(registry);
-        self.state.spt = Some(spt);
-    }
-
-    /// Feeds one applied residual-capacity delta `old -> new` at `node`
-    /// into the SPT validity clock: any tree whose construction read a
-    /// relay answer the delta flips is invalidated on next use. Callers
-    /// that enable the SPT cache **must** report every residual change
-    /// here (the serve layer does, from the same hook that drives its
-    /// candidate-cache invalidation). No-op without the SPT cache.
-    pub fn note_node_delta(&mut self, net: &QuantumNetwork, node: NodeId, old: u32, new: u32) {
-        if let Some(spt) = self.state.spt.as_deref_mut() {
-            spt.note_node_delta(net, node, old, new);
-        }
     }
 
     /// Runs the width descent for one demand against `capacity`,
@@ -1797,64 +1487,6 @@ mod tests {
     }
 
     #[test]
-    fn spt_engine_matches_batch_across_capacity_deltas() {
-        use crate::network::NetworkParams;
-        use fusion_topology::TopologyConfig;
-
-        for seed in [7, 21] {
-            let topo = TopologyConfig {
-                num_switches: 24,
-                num_user_pairs: 5,
-                avg_degree: 5.0,
-                ..TopologyConfig::default()
-            }
-            .generate(seed);
-            let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
-            let demands = Demand::from_topology(&topo);
-            let mut caps = net.capacities();
-            let q = SelectionQuery {
-                h: 3,
-                max_width: 4,
-                mode: SwapMode::NFusion,
-            };
-            let mut engine = SelectionEngine::new();
-            engine.enable_spt(&Registry::disabled());
-            // Interleave capacity deltas (reported to the SPT validity
-            // clock) with full-demand sweeps; every slice must equal the
-            // batch engine under the same capacities, so parked trees are
-            // exercised fresh, resumed, and invalidated.
-            for step in 0..6 {
-                if step > 0 {
-                    let v = NodeId::new((step * 5 + 2) % net.node_count());
-                    let old = caps[v.index()];
-                    let new = if step % 2 == 0 {
-                        old.saturating_sub(3)
-                    } else {
-                        old + 2
-                    };
-                    caps[v.index()] = new;
-                    engine.note_node_delta(&net, v, old, new);
-                }
-                for demand in &demands {
-                    let selected =
-                        engine.select_demand(&net, demand, &caps, q, |_| WidthReuse::Miss);
-                    let flat: Vec<CandidatePath> =
-                        selected.into_iter().flat_map(|s| s.candidates).collect();
-                    let batch = paths_selection(
-                        &net,
-                        std::slice::from_ref(demand),
-                        &caps,
-                        3,
-                        4,
-                        SwapMode::NFusion,
-                    );
-                    assert_eq!(flat, batch, "seed {seed}, step {step}, {:?}", demand.id);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn no_candidates_for_disconnected_demand() {
         let mut b = QuantumNetwork::builder();
         let s = b.user(0.0, 0.0);
@@ -1864,5 +1496,51 @@ mod tests {
         let demand = Demand::new(DemandId::new(0), s, d);
         let caps = net.capacities();
         assert!(paths_selection(&net, &[demand], &caps, 3, 2, SwapMode::NFusion).is_empty());
+    }
+
+    proptest::proptest! {
+        /// One ban mask, reused across many random ban sets, must answer
+        /// every `(from, to)` step exactly as the `PathConstraints` hash
+        /// sets do, so no mark from an earlier search leaks into a later
+        /// one.
+        #[test]
+        fn reused_ban_mask_matches_constraint_sets(
+            sets in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0usize..12, 0..5),
+                    proptest::collection::vec((0usize..12, 0usize..12), 0..6),
+                ),
+                1..10,
+            ),
+        ) {
+            let n = 12;
+            let mut bans = BanMask::new();
+            for (nodes, hops) in sets {
+                let mut cons = PathConstraints::default();
+                for v in nodes {
+                    cons.ban_node(NodeId::new(v));
+                }
+                for (u, v) in hops {
+                    cons.ban_hop(NodeId::new(u), NodeId::new(v));
+                }
+                stamp_bans(&mut bans, &cons, n);
+                for from in (0..n).map(NodeId::new) {
+                    proptest::prop_assert_eq!(
+                        bans.node_banned(from),
+                        cons.banned_nodes.contains(&from)
+                    );
+                    for to in (0..n).map(NodeId::new) {
+                        let exact = cons.banned_nodes.contains(&to) || cons.hop_banned(from, to);
+                        proptest::prop_assert_eq!(
+                            step_banned(&bans, &cons, from, to),
+                            exact,
+                            "step {:?} -> {:?}",
+                            from,
+                            to
+                        );
+                    }
+                }
+            }
+        }
     }
 }

@@ -21,7 +21,7 @@ pub use alg1::{largest_rate_path, largest_rate_path_with, PathConstraints};
 pub use alg2::{
     node_width_thresholds, paths_selection, paths_selection_counted, paths_selection_parallel,
     paths_selection_parallel_counted, paths_selection_reference, CandidatePath, RepairSeed,
-    SelectedWidth, SelectionCounters, SelectionEngine, SelectionQuery, SptCounters, WidthReuse,
+    SelectedWidth, SelectionCounters, SelectionEngine, SelectionQuery, WidthReuse,
 };
 pub use alg3::{paths_merge, MergeOutcome};
 pub use alg3_greedy::{

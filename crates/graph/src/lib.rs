@@ -56,5 +56,5 @@ pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 pub use metric::Metric;
 pub use path::{Path, PathError};
 pub use search::{SearchCounters, SearchScratch};
-pub use stamps::RecordedSet;
+pub use stamps::{BanMask, RecordedSet};
 pub use unionfind::{DisjointSets, GenerationalDisjointSets};

@@ -590,21 +590,6 @@ where
     /// Pops and expands frontier nodes until `target` settles (when
     /// `Some`) or the frontier is exhausted.
     fn run_until(&mut self, target: Option<NodeId>) {
-        while let Some((_, u)) = self.settle_one() {
-            if target == Some(u) {
-                return;
-            }
-        }
-    }
-
-    /// Settles and expands exactly one frontier node, returning its final
-    /// metric, or `None` when the frontier is exhausted. Stepping a run
-    /// with `settle_one` visits the same nodes in the same order as
-    /// [`run_to`](MaxProductResume::run_to)/[`finish`](MaxProductResume::finish);
-    /// it exists so callers that maintain per-settle state (e.g. a shared
-    /// shortest-path-tree overlay) can interleave their bookkeeping with
-    /// the search.
-    pub fn settle_one(&mut self) -> Option<(Metric, NodeId)> {
         while let Some((m, u)) = self.scratch.max_heap.pop() {
             if self.scratch.dist[u.index()] != m.value() {
                 continue; // stale entry
@@ -637,91 +622,9 @@ where
                     }
                 }
             }
-            return Some((m, u));
-        }
-        None
-    }
-
-    /// The next node the run would settle and its final metric, without
-    /// settling it; `None` when the frontier is exhausted. Stale heap
-    /// entries encountered on the way are discarded, so the call is
-    /// amortized O(log frontier).
-    pub fn peek_next(&mut self) -> Option<(Metric, NodeId)> {
-        while let Some(&(m, u)) = self.scratch.max_heap.peek() {
-            if self.scratch.dist[u.index()] == m.value() {
-                return Some((m, u));
+            if target == Some(u) {
+                return;
             }
-            self.scratch.max_heap.pop();
-        }
-        None
-    }
-
-    /// `true` if `node` has settled (its label is final).
-    #[must_use]
-    pub fn is_settled(&self, node: NodeId) -> bool {
-        self.scratch.is_settled(node.index())
-    }
-
-    /// The current (possibly not yet final) label of `node`, or `None`
-    /// if the run has not relaxed it.
-    #[must_use]
-    pub fn label(&self, node: NodeId) -> Option<f64> {
-        self.scratch
-            .is_set(node.index())
-            .then(|| self.scratch.dist[node.index()])
-    }
-
-    /// The best known path from the source to `node`, following the
-    /// current predecessor chain. Final once `node` has settled.
-    #[must_use]
-    pub fn path_to(&self, node: NodeId) -> Option<Path> {
-        if !self.scratch.is_set(node.index()) {
-            return None;
-        }
-        walk_back(self.source, node, &self.scratch.prev)
-    }
-
-    /// Captures the run's full state — every settled label plus the live
-    /// frontier — into an owned [`ResumeSnapshot`] that can later be
-    /// rebuilt with [`max_product_restore`].
-    ///
-    /// The caller supplies the settle order (the sequence of nodes
-    /// returned by [`settle_one`](MaxProductResume::settle_one)), because
-    /// the scratch tracks settledness as a set; the order matters for the
-    /// restored run to relax in the original sequence.
-    ///
-    /// # Panics
-    ///
-    /// Panics (debug builds) if `settled_in_order` disagrees with the
-    /// scratch's settled set.
-    #[must_use]
-    pub fn capture(&self, settled_in_order: &[NodeId]) -> ResumeSnapshot {
-        let prev_of = |i: usize| {
-            let p = self.scratch.prev[i];
-            (p != NO_PREV).then(|| NodeId::new(p))
-        };
-        let settled: Vec<_> = settled_in_order
-            .iter()
-            .map(|&u| {
-                debug_assert!(self.scratch.is_settled(u.index()));
-                (u, self.scratch.dist[u.index()], prev_of(u.index()))
-            })
-            .collect();
-        debug_assert_eq!(
-            settled.len(),
-            (0..self.graph.node_count())
-                .filter(|&i| self.scratch.is_settled(i))
-                .count(),
-            "settled_in_order must list every settled node exactly once"
-        );
-        let frontier = (0..self.graph.node_count())
-            .filter(|&i| self.scratch.is_set(i) && !self.scratch.is_settled(i))
-            .map(|i| (NodeId::new(i), self.scratch.dist[i], prev_of(i)))
-            .collect();
-        ResumeSnapshot {
-            source: self.source,
-            settled,
-            frontier,
         }
     }
 
@@ -753,71 +656,6 @@ where
             source: self.source,
             scratch: self.scratch,
         }
-    }
-}
-
-/// An owned snapshot of a paused [`max_product_resume`] run: the settled
-/// prefix in settle order plus the live frontier, each entry carrying its
-/// `(node, label, predecessor)` triple.
-///
-/// Restoring a snapshot with [`max_product_restore`] and continuing
-/// produces byte-identical labels, predecessors, and settle order to the
-/// original run continuing in place — the heap holds one live entry per
-/// frontier node and `(Metric, NodeId)` pairs are totally ordered, so the
-/// pop sequence is a function of the entry *set*, not of heap layout.
-/// This is what lets a per-source shortest-path tree be parked between
-/// queries and resumed for a deeper target later (the serve layer's SPT
-/// cache).
-#[derive(Debug, Clone)]
-pub struct ResumeSnapshot {
-    /// Root of the run.
-    pub source: NodeId,
-    /// Settled nodes in settle order; labels are final.
-    pub settled: Vec<(NodeId, f64, Option<NodeId>)>,
-    /// Relaxed-but-unsettled nodes (scan order); labels may improve.
-    pub frontier: Vec<(NodeId, f64, Option<NodeId>)>,
-}
-
-/// Rebuilds a paused max-product run from a [`ResumeSnapshot`] so it can
-/// continue where [`MaxProductResume::capture`] left off.
-///
-/// The factor closures must be *observationally identical* to the ones
-/// the captured run used (same `Some`/`None` decisions and values for
-/// every node and edge) — the snapshot stores no factor state, so a
-/// divergent closure silently yields a tree that matches neither run.
-/// Callers enforce this with validity stamps on everything the closures
-/// read.
-///
-/// # Panics
-///
-/// Panics if any snapshot node is out of bounds for `graph`.
-pub fn max_product_restore<'s, 'g, N, E, FE, FT>(
-    scratch: &'s mut SearchScratch,
-    graph: &'g UnGraph<N, E>,
-    snapshot: &ResumeSnapshot,
-    edge_factor: FE,
-    transit_factor: FT,
-) -> MaxProductResume<'s, 'g, N, E, FE, FT>
-where
-    FE: FnMut(NodeId, EdgeRef<'_, E>) -> Option<f64>,
-    FT: FnMut(NodeId) -> Option<f64>,
-{
-    scratch.begin(graph.node_count());
-    let raw = |p: Option<NodeId>| p.map_or(NO_PREV, NodeId::index);
-    for &(u, d, p) in &snapshot.settled {
-        scratch.set(u.index(), d, raw(p));
-        scratch.settled.insert(u.index());
-    }
-    for &(u, d, p) in &snapshot.frontier {
-        scratch.set(u.index(), d, raw(p));
-        scratch.max_heap.push((Metric::new(d), u));
-    }
-    MaxProductResume {
-        scratch,
-        graph,
-        source: snapshot.source,
-        edge_factor,
-        transit_factor,
     }
 }
 
@@ -1191,60 +1029,6 @@ mod tests {
             );
             for &t in &targets {
                 prop_assert_eq!(run.run_to(NodeId::new(t)), fresh.path_to(NodeId::new(t)));
-            }
-        }
-    }
-
-    proptest! {
-        /// Stepping a run with `settle_one`, capturing it at an arbitrary
-        /// pause point, restoring the snapshot into a *different* scratch,
-        /// and finishing must agree with a fresh exhaustive run on every
-        /// node's path — and the restored run's next settle must match the
-        /// paused run's `peek_next`.
-        #[test]
-        fn capture_restore_matches_paused_run(
-            edges in proptest::collection::vec((0usize..9, 0usize..9, 1u32..9), 1..28),
-            source in 0usize..9,
-            pause_after in 0usize..9,
-        ) {
-            let mut g: UnGraph<(), f64> = UnGraph::new();
-            for _ in 0..9 {
-                g.add_node(());
-            }
-            for (u, v, w) in edges {
-                if u != v {
-                    g.add_edge(NodeId::new(u), NodeId::new(v), f64::from(w));
-                }
-            }
-            let source = NodeId::new(source);
-            let ef = |_: NodeId, e: EdgeRef<'_, f64>| Some(*e.weight / 10.0);
-            let tf = |_: NodeId| Some(0.7);
-            let fresh = max_product_dijkstra(&g, source, ef, tf);
-
-            let mut scratch = SearchScratch::new();
-            let mut run = max_product_resume(&mut scratch, &g, source, ef, tf);
-            let mut order = Vec::new();
-            for _ in 0..=pause_after {
-                match run.settle_one() {
-                    Some((_, u)) => order.push(u),
-                    None => break,
-                }
-            }
-            let snapshot = run.capture(&order);
-            let expected_next = run.peek_next();
-
-            let mut scratch2 = SearchScratch::new();
-            let mut restored = max_product_restore(&mut scratch2, &g, &snapshot, ef, tf);
-            prop_assert_eq!(restored.peek_next(), expected_next);
-            for &(u, d, _) in &snapshot.settled {
-                prop_assert!(restored.is_settled(u));
-                prop_assert_eq!(restored.label(u), Some(d));
-            }
-            let done = restored.finish();
-            for i in 0..9 {
-                let t = NodeId::new(i);
-                prop_assert_eq!(done.path_to(t), fresh.path_to(t));
-                prop_assert_eq!(done.metric(t), fresh.metric(t));
             }
         }
     }

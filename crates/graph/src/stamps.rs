@@ -1,12 +1,15 @@
 //! Generation-stamp validity tracking shared by the reusable scratch
 //! structures ([`SearchScratch`](crate::search::SearchScratch),
-//! [`GenerationalDisjointSets`](crate::GenerationalDisjointSets)).
+//! [`GenerationalDisjointSets`](crate::GenerationalDisjointSets),
+//! [`BanMask`]).
 //!
 //! The pattern: payload buffers are never cleared between runs; instead an
 //! entry is valid only while its stamp equals the current generation, and
 //! starting a new run just bumps the generation — O(1) reset. The subtle
 //! invariants (new or resized entries must start invalid, counter wrap
 //! pays one full clear) live here, single-sourced.
+
+use crate::graph::NodeId;
 
 /// Per-entry generation stamps with an O(1) bulk invalidate.
 #[derive(Debug, Clone)]
@@ -194,6 +197,74 @@ impl RecordedSet {
     }
 }
 
+/// Per-node ban marks for one constrained search: a banned node is one
+/// stamp compare, and a banned hop marks both of its endpoints, so an edge
+/// whose endpoints are not both marked is known to be allowed without
+/// looking the hop up.
+///
+/// Yen spur searches evaluate their bans on every relaxed edge. Stamping
+/// a search's bans once, in O(bans), turns those per-edge checks into
+/// array compares; only an edge between two hop-marked nodes needs the
+/// caller's exact hop lookup. [`begin`](BanMask::begin) empties the mask
+/// in O(1).
+#[derive(Debug, Clone, Default)]
+pub struct BanMask {
+    nodes: GenerationStamps,
+    hop_ends: GenerationStamps,
+}
+
+impl BanMask {
+    /// Creates an empty, reusable mask.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Empties the mask and grows it to cover nodes `0..n`.
+    pub fn begin(&mut self, n: usize) {
+        self.nodes.advance(n);
+        self.hop_ends.advance(n);
+    }
+
+    /// Bans `node`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the range covered by the last
+    /// [`begin`](BanMask::begin).
+    pub fn ban_node(&mut self, node: NodeId) {
+        self.nodes.mark(node.index());
+    }
+
+    /// Marks both endpoints of a banned hop `{u, v}`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` or `v` is outside the range covered by the last
+    /// [`begin`](BanMask::begin).
+    pub fn mark_hop(&mut self, u: NodeId, v: NodeId) {
+        self.hop_ends.mark(u.index());
+        self.hop_ends.mark(v.index());
+    }
+
+    /// `true` if `node` was banned since the last
+    /// [`begin`](BanMask::begin).
+    #[inline]
+    #[must_use]
+    pub fn node_banned(&self, node: NodeId) -> bool {
+        self.nodes.is_current(node.index())
+    }
+
+    /// `true` if both `u` and `v` end a marked hop, so `{u, v}` *may* be
+    /// banned and the caller must check it exactly; `false` proves the
+    /// hop is not banned.
+    #[inline]
+    #[must_use]
+    pub fn hop_marked(&self, u: NodeId, v: NodeId) -> bool {
+        self.hop_ends.is_current(u.index()) && self.hop_ends.is_current(v.index())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -247,5 +318,26 @@ mod tests {
         assert!(!s.is_current(1));
         s.mark(1);
         assert!(s.is_current(1));
+    }
+
+    #[test]
+    fn ban_mask_wrap_clears_instead_of_aliasing() {
+        let [a, b, c] = [0, 1, 2].map(NodeId::new);
+        let mut m = BanMask::new();
+        m.begin(3);
+        m.nodes.generation = u32::MAX;
+        m.hop_ends.generation = u32::MAX;
+        m.ban_node(a); // stamped u32::MAX
+        m.mark_hop(b, c);
+        assert!(m.node_banned(a) && m.hop_marked(b, c));
+        m.begin(3); // wraps: both stamp buffers fill(0), generation = 1
+        for v in [a, b, c] {
+            assert!(!m.node_banned(v), "wrap must clear node bans");
+        }
+        assert!(!m.hop_marked(b, c), "wrap must clear hop marks");
+        m.ban_node(c);
+        m.mark_hop(a, b);
+        assert!(m.node_banned(c) && !m.node_banned(a));
+        assert!(m.hop_marked(a, b) && !m.hop_marked(b, c));
     }
 }

@@ -376,18 +376,15 @@ mod tests {
 
     #[test]
     fn repair_counters_ride_the_metric_contract() {
-        // The slice-repair and shared-SPT counters surface in sweeps
-        // through the same generic `m_<counter>` mechanism as every
-        // other registry entry — pin their exact column names so a
-        // counter rename upstream cannot silently drop them from
-        // summary.json (`mean_m_<counter>`, sorted tail of the schema).
-        const REPAIR_COUNTERS: [&str; 6] = [
+        // The slice-repair counters surface in sweeps through the same
+        // generic `m_<counter>` mechanism as every other registry entry —
+        // pin their exact column names so a counter rename upstream
+        // cannot silently drop them from summary.json
+        // (`mean_m_<counter>`, sorted tail of the schema).
+        const REPAIR_COUNTERS: [&str; 3] = [
             "m_serve.cache.damaged",
             "m_serve.cache.repairs",
             "m_serve.cache.repair_depth/count",
-            "m_alg2.spt.queries",
-            "m_alg2.spt.hits",
-            "m_alg2.spt.shared_settles",
         ];
         let mut r0 = result_row("a", 100, "ALG-N-FUSION", 0, 1.0);
         let mut r1 = result_row("a", 100, "ALG-N-FUSION", 1, 3.0);

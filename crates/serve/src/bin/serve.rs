@@ -248,13 +248,6 @@ fn run_replay(args: &ReplayArgs) {
                 v("serve.cache.damaged"),
                 v("serve.cache.repairs")
             );
-            println!(
-                "spt cache        {} queries, {} hits, {} invalidated, {} settles shared",
-                v("alg2.spt.queries"),
-                v("alg2.spt.hits"),
-                v("alg2.spt.invalidated"),
-                v("alg2.spt.shared_settles")
-            );
             println!("double cuts      {} no-op fail_links", v("serve.fail_link_noops"));
         } else {
             println!("cache            (from-scratch strategy: no cache)");

@@ -1087,9 +1087,7 @@ impl CandidateCache {
     /// killing, as `(key, width, ordinal)`: prefers a slot with a
     /// spur-only read (a real flip there damages at that ordinal); falls
     /// back to any slot whose log ran past the first search, damaged at
-    /// ordinal 1. The fallback matters under the shared SPT cache, whose
-    /// monotonically-growing tree read-set is folded into every
-    /// footprint at ordinal 0 and blankets most spur-only reads.
+    /// ordinal 1.
     pub(crate) fn first_repairable(&self) -> Option<((NodeId, NodeId), u32, u32)> {
         let spur_only = self.entries.iter().find_map(|(&key, entry)| {
             entry.slots.iter().enumerate().find_map(|(wi, slot)| {

@@ -171,7 +171,6 @@ impl ServiceState {
             AdmitStrategy::Incremental => {
                 let mut engine = SelectionEngine::new();
                 engine.set_registry(&registry);
-                engine.enable_spt(&registry);
                 Some(Box::new(IncrementalAdmission {
                     engine,
                     cache: CandidateCache::new(&net, MAX_CACHED_PAIRS, &registry),
@@ -478,7 +477,6 @@ impl ServiceState {
             let old = residual[node.index()];
             let new = if charge { old - qubits } else { old + qubits };
             inc.cache.apply_node_delta(net, node, old, new);
-            inc.engine.note_node_delta(net, node, old, new);
         }
     }
 

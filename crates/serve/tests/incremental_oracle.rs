@@ -538,8 +538,7 @@ proptest! {
 
     /// Wide repair-heavy grid for the scheduled `wide-differential`
     /// workflow: larger churn-bound worlds, longer traces, harsher
-    /// failure rates — the regime where partial repair and the shared
-    /// SPT cache carry the load.
+    /// failure rates — the regime where partial repair carries the load.
     #[test]
     #[ignore = "wide repair-heavy oracle grid; minutes of runtime, run with -- --ignored"]
     fn repair_heavy_matches_from_scratch_wide(
