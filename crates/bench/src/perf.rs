@@ -15,7 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use fusion_core::algorithms::{alg1, alg2, alg3_greedy, AdmitStrategy, MergeCounters};
+use fusion_core::algorithms::{alg1, alg2, alg3_greedy, MergeCounters};
 use fusion_core::{metrics, SwapMode};
 use fusion_graph::{SearchCounters, SearchScratch};
 use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
@@ -56,7 +56,7 @@ pub const CALIBRATION: &str = "calibration";
 /// Stable workload names, in execution order. Must stay in sync with the
 /// committed `BENCH_BASELINE.json` — `workload_set_matches_baseline_keys`
 /// fails otherwise, so a new workload cannot silently escape the CI gate.
-pub const WORKLOADS: [&str; 12] = [
+pub const WORKLOADS: [&str; 9] = [
     CALIBRATION,
     "alg1_path_search",
     "alg2_selection",
@@ -66,9 +66,6 @@ pub const WORKLOADS: [&str; 12] = [
     "alg3_merge",
     "scale_1k_route",
     "serve_replay",
-    "serve_replay_incremental",
-    "serve_replay_churn",
-    "serve_replay_churn_scratch",
 ];
 
 fn median(mut samples: Vec<f64>) -> f64 {
@@ -287,130 +284,14 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             // Network and trace generation are setup, not measured; the
             // timed region is admission routing against the residual
             // ledger plus ledger charge/release — the serve crate's hot
-            // path. Pinned to `FromScratch` so this gate keeps watching
-            // the reference admission path after the incremental cache
-            // became the default strategy (the cache has its own gate,
-            // `serve_replay_incremental`). Admissions are inherently
-            // single-threaded (one demand at a time), satisfying the
-            // single-core calibration rule.
+            // path. Admissions are inherently single-threaded (one demand
+            // at a time), satisfying the single-core calibration rule.
             let preset = fusion_serve::resolve_preset("quick").expect("quick serve preset");
             let net = preset.network_instance(0);
-            let mut routing = preset.routing_config();
-            routing.admit_strategy = AdmitStrategy::FromScratch;
+            let routing = preset.routing_config();
             let trace_config = fusion_serve::TraceConfig {
                 events: 600,
                 link_down_rate: 0.05,
-                ..fusion_serve::TraceConfig::default()
-            };
-            let probe = fusion_serve::ServiceState::new(net.clone(), routing);
-            let trace = fusion_serve::generate(probe.network(), &trace_config);
-            time_workload(name, reps, || {
-                let mut state = fusion_serve::ServiceState::with_telemetry(
-                    net.clone(),
-                    routing,
-                    registry.clone(),
-                );
-                let report = fusion_serve::replay(
-                    &mut state,
-                    &trace,
-                    &fusion_serve::ReplayOptions::default(),
-                );
-                black_box(report.fingerprint());
-            })
-        }
-        "serve_replay_incremental" => {
-            // The incremental admission cache in its design regime:
-            // recurring demands (a small user pool) and long-held
-            // sessions, so most arrivals are full candidate-cache hits
-            // and the timed region is dominated by cache lookup + merge
-            // rather than width-descent searches. Same trace replayed
-            // from a fresh state (cold cache) each repetition; the
-            // speedup over `serve_replay`-style from-scratch admission
-            // on this regime is recorded in EXPERIMENTS.md. A regression
-            // here points at the cache (invalidation precision, lookup
-            // cost) rather than the reference pipeline.
-            let preset = fusion_serve::resolve_preset("quick").expect("quick serve preset");
-            let net = preset.network_instance(0);
-            let mut routing = preset.routing_config();
-            routing.admit_strategy = AdmitStrategy::Incremental;
-            let trace_config = fusion_serve::TraceConfig {
-                events: 600,
-                mean_holding: 400.0,
-                link_down_rate: 0.05,
-                user_pool: 4,
-                ..fusion_serve::TraceConfig::default()
-            };
-            let probe = fusion_serve::ServiceState::new(net.clone(), routing);
-            let trace = fusion_serve::generate(probe.network(), &trace_config);
-            time_workload(name, reps, || {
-                let mut state = fusion_serve::ServiceState::with_telemetry(
-                    net.clone(),
-                    routing,
-                    registry.clone(),
-                );
-                let report = fusion_serve::replay(
-                    &mut state,
-                    &trace,
-                    &fusion_serve::ReplayOptions::default(),
-                );
-                black_box(report.fingerprint());
-            })
-        }
-        "serve_replay_churn_scratch" => {
-            // The churn trace of `serve_replay_churn`, replayed with pure
-            // from-scratch admission: the recompute reference the
-            // incremental run is compared against on the regime where
-            // certificates decide whether cached slices survive churn at
-            // all. The `serve_replay_churn / serve_replay_churn_scratch`
-            // ratio (same trace, same reps, same calibration) is the
-            // number EXPERIMENTS.md reports for the user-pool-0 churn
-            // regime.
-            let preset = fusion_serve::resolve_preset("quick").expect("quick serve preset");
-            let net = preset.network_instance(0);
-            let mut routing = preset.routing_config();
-            routing.admit_strategy = AdmitStrategy::FromScratch;
-            let trace_config = fusion_serve::TraceConfig {
-                events: 600,
-                mean_holding: 8.0,
-                link_down_rate: 0.05,
-                user_pool: 0,
-                ..fusion_serve::TraceConfig::default()
-            };
-            let probe = fusion_serve::ServiceState::new(net.clone(), routing);
-            let trace = fusion_serve::generate(probe.network(), &trace_config);
-            time_workload(name, reps, || {
-                let mut state = fusion_serve::ServiceState::with_telemetry(
-                    net.clone(),
-                    routing,
-                    registry.clone(),
-                );
-                let report = fusion_serve::replay(
-                    &mut state,
-                    &trace,
-                    &fusion_serve::ReplayOptions::default(),
-                );
-                black_box(report.fingerprint());
-            })
-        }
-        "serve_replay_churn" => {
-            // The incremental cache's *adversarial* regime: every arrival
-            // a fresh random user pair (`user_pool: 0`) and short-held
-            // sessions, so footprints die in fractions of an event and
-            // almost every admission recomputes — plus link-downs to
-            // drive `fail_link` eviction and the slice-repair machinery.
-            // This gate bounds the cache's overhead where it cannot win:
-            // a regression here means the miss path (lookup, footprint
-            // recording, store, invalidation scans, repair bookkeeping)
-            // got more expensive relative to pure from-scratch routing.
-            let preset = fusion_serve::resolve_preset("quick").expect("quick serve preset");
-            let net = preset.network_instance(0);
-            let mut routing = preset.routing_config();
-            routing.admit_strategy = AdmitStrategy::Incremental;
-            let trace_config = fusion_serve::TraceConfig {
-                events: 600,
-                mean_holding: 8.0,
-                link_down_rate: 0.05,
-                user_pool: 0,
                 ..fusion_serve::TraceConfig::default()
             };
             let probe = fusion_serve::ServiceState::new(net.clone(), routing);
@@ -685,9 +566,9 @@ mod tests {
     #[test]
     #[ignore = "telemetry overhead gate; minutes of runtime, run with -- --ignored in release"]
     fn telemetry_overhead_within_gate() {
-        const GATED: [&str; 2] = ["alg2_select", "serve_replay_incremental"];
-        // Same reps as the CI gate: at 3 reps the ~4 ms incremental-replay
-        // median is noisy enough to trip the threshold spuriously.
+        const GATED: [&str; 2] = ["alg2_select", "serve_replay"];
+        // Same reps as the CI gate: at 3 reps the short replay median is
+        // noisy enough to trip the threshold spuriously.
         const REPS: usize = 7;
         const THRESHOLD: f64 = 0.40;
         let timings = |registry: &Registry| -> Vec<(String, f64)> {

@@ -41,8 +41,7 @@ use std::collections::HashSet;
 
 use fusion_graph::search::max_product_resume;
 use fusion_graph::{
-    BanMask, CertEntry, CertificateRecorder, DescentReach, Metric, NodeId, Path, SearchCounters,
-    SearchScratch, WidthFeasibility,
+    BanMask, DescentReach, Metric, NodeId, Path, SearchCounters, SearchScratch, WidthFeasibility,
 };
 use fusion_telemetry::{Counter, Registry};
 
@@ -52,21 +51,6 @@ use crate::flow::WidthedPath;
 use crate::metrics::path_rate;
 use crate::network::QuantumNetwork;
 use crate::plan::SwapMode;
-
-/// The paper's width-feasibility thresholds for one node at residual
-/// capacity `capacity`: `(largest relayable width, largest terminable
-/// width)`.
-///
-/// A switch of capacity `c` relays width `c / 2` (an intermediate pins
-/// `2w` qubits, paper line 9) and terminates width `c`; users never relay
-/// but terminate up to their capacity. Single-sourced here so the
-/// width-descent engine and the serve layer's cache invalidation agree
-/// exactly on when a residual-capacity change flips a feasibility answer.
-#[must_use]
-pub fn node_width_thresholds(net: &QuantumNetwork, node: NodeId, capacity: u32) -> (u32, u32) {
-    let relay = if net.is_switch(node) { capacity / 2 } else { 0 };
-    (relay, capacity)
-}
 
 /// One candidate route emitted by Algorithm 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,8 +265,9 @@ impl DescentContext {
         for v in net.graph().node_ids() {
             // Paper line 9: an intermediate switch pins 2w qubits, so it
             // relays width cap / 2; users never relay. Endpoints need w.
-            let (relay, endpoint) = node_width_thresholds(net, v, capacity[v.index()]);
-            self.feas.set_node(v, relay, endpoint);
+            let cap = capacity[v.index()];
+            let relay = if net.is_switch(v) { cap / 2 } else { 0 };
+            self.feas.set_node(v, relay, cap);
         }
         for w in (self.channel.len() as u32 + 1)..=max_width {
             self.channel.push(
@@ -295,18 +280,6 @@ impl DescentContext {
     }
 }
 
-/// The engine's per-width search log/replay plane. When installed, every
-/// search the Yen construction issues is recorded in issue order; a
-/// leading prefix of previously recorded results may be *served* in place
-/// of searching (partial repair — see [`WidthReuse::Repair`]).
-#[derive(Debug, Clone, Default)]
-struct ReplayState {
-    /// Recorded results served verbatim for ordinals `0..serve.len()`.
-    serve: Vec<Option<(Path, Metric)>>,
-    /// Every result issued so far this width, served and live alike.
-    log: Vec<Option<(Path, Metric)>>,
-}
-
 /// Counter handles for the width-descent engine's decision points.
 /// Default handles are no-ops; wire real ones with
 /// [`SelectionCounters::from_registry`]. Every count is a deterministic
@@ -317,7 +290,7 @@ pub struct SelectionCounters {
     pub reach_skips: Counter,
     /// Yen spur searches launched from deviation points.
     pub spur_searches: Counter,
-    /// Width slices actually searched (vs served from a cache).
+    /// Width slices built.
     pub widths_searched: Counter,
 }
 
@@ -342,15 +315,6 @@ impl SelectionCounters {
 struct DescentState {
     scratch: SearchScratch,
     reach: DescentReach,
-    /// Installed only by [`SelectionEngine`]; the batch engines leave it
-    /// `None` and pay one predictable branch per probe. Records both the
-    /// raw read set and the width's *validity certificate* — the minimal
-    /// per-kind answer set the results depend on (see
-    /// [`fusion_graph::certificate`]).
-    recorder: Option<CertificateRecorder>,
-    /// Search log/replay plane; installed per width by
-    /// [`SelectionEngine::select_demand`], `None` in the batch engines.
-    replay: Option<ReplayState>,
     /// The current search's bans, stamped from its [`PathConstraints`].
     bans: BanMask,
     counters: SelectionCounters,
@@ -367,8 +331,6 @@ impl DescentState {
         DescentState {
             scratch,
             reach: DescentReach::new(),
-            recorder: None,
-            replay: None,
             bans: BanMask::new(),
             counters: SelectionCounters::from_registry(registry),
         }
@@ -401,9 +363,7 @@ fn demand_candidates(
 }
 
 /// One width's candidates under the descent state: Yen over Algorithm 1,
-/// filtered and scored with the caller's mode. Shared verbatim by the
-/// batch engines and [`SelectionEngine`], which is what makes cached
-/// engine output interchangeable with batch output.
+/// filtered and scored with the caller's mode.
 fn width_candidates(
     net: &QuantumNetwork,
     demand: &Demand,
@@ -494,19 +454,9 @@ fn descent_search(
     let DescentState {
         scratch,
         reach,
-        recorder,
         bans,
         counters,
-        ..
     } = state;
-    if let Some(r) = recorder.as_mut() {
-        // The endpoint checks below read both endpoints' thresholds; a
-        // *blocked* answer is tracked in the certificate (it decided the
-        // outcome), a feasible one stays raw-only until the search
-        // returns a path through it.
-        r.read_endpoint(source, ctx.feas.endpoint_feasible(source, width));
-        r.read_endpoint(dest, ctx.feas.endpoint_feasible(dest, width));
-    }
     // Paper line 2: endpoints must hold at least `w` qubits.
     if !ctx.feas.endpoint_feasible(source, width) || !ctx.feas.endpoint_feasible(dest, width) {
         return None;
@@ -520,18 +470,6 @@ fn descent_search(
     // constrained search too — skip it without exploring anything.
     if !reach.can_reach(source) {
         counters.reach_skips.inc();
-        // The skip's raw dependency set is the whole probed region
-        // R ∪ ∂R, but the *negative* answer rests only on the blocked
-        // frontier staying blocked (any path into the unexplored side
-        // must cross it), so only ∂R's relay answers enter the
-        // certificate. Users on the frontier are excluded: their relay
-        // answer is 0 at every capacity and can never flip.
-        if let Some(r) = recorder.as_mut() {
-            r.fold_reach(
-                reach.reached_nodes(),
-                reach.blocked_frontier().filter(|&v| net.is_switch(v)),
-            );
-        }
         return None;
     }
 
@@ -539,8 +477,7 @@ fn descent_search(
     let feas = &ctx.feas;
     let channel = &ctx.channel[(width - 1) as usize];
     let bans = &*bans;
-    let mut rec = recorder.as_mut();
-    let result = max_product_resume(
+    max_product_resume(
         scratch,
         net.graph(),
         source,
@@ -551,16 +488,9 @@ fn descent_search(
             }
             // Entering `to` as an intermediate pins 2w qubits there; only
             // the destination gets away with w (paper line 9). Users other
-            // than the destination cannot relay at all — which is also why
-            // a user's relay read can never enter the certificate
-            // (`can_flip = false`).
-            if to != dest {
-                if let Some(r) = rec.as_deref_mut() {
-                    r.read_relay(to, feas.relay_feasible(to, width), net.is_switch(to));
-                }
-                if !feas.relay_feasible(to, width) {
-                    return None;
-                }
+            // than the destination cannot relay at all.
+            if to != dest && !feas.relay_feasible(to, width) {
+                return None;
             }
             Some(channel[e.id.index()])
         },
@@ -569,52 +499,7 @@ fn descent_search(
             net.is_switch(via).then_some(q)
         },
     )
-    .run_to(dest);
-    // A successful search's result depends on its own path's thresholds:
-    // endpoint answers at the ends, relay answers at the intermediates.
-    if let (Some(r), Some((p, _))) = (recorder.as_mut(), result.as_ref()) {
-        r.commit_success(p);
-    }
-    result
-}
-
-/// Issues one of a width's searches through the replay plane: an ordinal
-/// inside the replay prefix is served from the recorded log verbatim (no
-/// graph work, no reads — validity is the caller's contract, enforced by
-/// the ordinal-stratified footprint), anything else searches live and is
-/// appended to the log. With no replay installed this is a plain
-/// [`descent_search`], byte for byte and counter for counter.
-#[allow(clippy::too_many_arguments)]
-fn driven_search(
-    net: &QuantumNetwork,
-    source: NodeId,
-    dest: NodeId,
-    width: u32,
-    constraints: &PathConstraints,
-    ctx: &DescentContext,
-    state: &mut DescentState,
-    is_spur: bool,
-) -> Option<(Path, Metric)> {
-    if let Some(rp) = state.replay.as_mut() {
-        let ordinal = rp.log.len();
-        if ordinal < rp.serve.len() {
-            let served = rp.serve[ordinal].clone();
-            rp.log.push(served.clone());
-            return served;
-        }
-    }
-    if is_spur {
-        state.counters.spur_searches.inc();
-    }
-    let ordinal = state.replay.as_ref().map_or(0, |rp| rp.log.len() as u32);
-    if let Some(r) = state.recorder.as_mut() {
-        r.set_ordinal(ordinal);
-    }
-    let result = descent_search(net, source, dest, width, constraints, ctx, state);
-    if let Some(rp) = state.replay.as_mut() {
-        rp.log.push(result.clone());
-    }
-    result
+    .run_to(dest)
 }
 
 /// Yen's algorithm over Algorithm 1 for one demand at one width, driven
@@ -630,7 +515,7 @@ fn k_best_paths_descent(
 ) -> Vec<Path> {
     let base = PathConstraints::default();
     let Some((first, metric)) =
-        driven_search(net, demand.source, demand.dest, width, &base, ctx, state, false)
+        descent_search(net, demand.source, demand.dest, width, &base, ctx, state)
     else {
         return Vec::new();
     };
@@ -691,8 +576,9 @@ fn k_best_paths_descent(
                 cons.ban_node(n);
             }
 
+            state.counters.spur_searches.inc();
             let Some((spur, _)) =
-                driven_search(net, spur_node, demand.dest, width, &cons, ctx, state, true)
+                descent_search(net, spur_node, demand.dest, width, &cons, ctx, state)
             else {
                 continue;
             };
@@ -740,82 +626,20 @@ pub struct SelectionQuery {
     pub mode: SwapMode,
 }
 
-/// One width's slice of a [`SelectionEngine::select_demand`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectedWidth {
-    /// The channel width this slice was built for.
-    pub width: u32,
-    /// The width's candidates, in the engine's canonical order.
-    pub candidates: Vec<CandidatePath>,
-    /// For recomputed (or repaired) widths, the slice's *validity
-    /// certificate*: per node, the per-kind (relay/endpoint) ordinal of
-    /// the first search whose result depends on that answer, sorted by
-    /// node — a subset of the raw read set (see
-    /// [`fusion_graph::certificate`]). As long as no tracked answer in it
-    /// flips at this width, re-running the construction yields the same
-    /// bytes; answers read but untracked may change freely. `None` when
-    /// the candidates came back as [`WidthReuse::Full`]. After a repair,
-    /// answers owned by the served prefix are *not* re-tracked here; the
-    /// caller merges this with the prior certificate's sub-`served`
-    /// strata.
-    pub footprint: Option<Vec<CertEntry>>,
-    /// Number of distinct nodes whose feasibility was read *live* while
-    /// constructing `candidates` — the classic (pre-certificate)
-    /// footprint cardinality, kept for telemetry comparability. `0` for
-    /// [`WidthReuse::Full`] slices.
-    pub raw_reads: u32,
-    /// Every search result of the width's construction, in issue order
-    /// (`log[0]` is the first path, then each Yen spur) — the recorded
-    /// deviation state a later [`WidthReuse::Repair`] replays. `None`
-    /// for [`WidthReuse::Full`] slices.
-    pub log: Option<Vec<Option<(Path, Metric)>>>,
-    /// How many leading `log` entries were served from a repair seed
-    /// rather than searched; `0` for a from-scratch recompute.
-    pub served: u32,
-}
-
-/// Per-width verdict the reuse closure hands
-/// [`SelectionEngine::select_demand`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WidthReuse {
-    /// The cached candidates are valid as-is: served byte-for-byte,
-    /// nothing searched.
-    Full(Vec<CandidatePath>),
-    /// The width's cached construction is damaged but not dead: replay
-    /// the still-valid prefix of its search log, search live from there.
-    Repair(RepairSeed),
-    /// Nothing cached (or damaged beyond repair): search from scratch.
-    Miss,
-}
-
-/// Seed for a partial repair (see [`WidthReuse::Repair`]): the recorded
-/// search log of the width's previous construction plus how much of it
-/// is still exactly reproducible.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepairSeed {
-    /// The previous construction's per-search results, issue order.
-    pub log: Vec<Option<(Path, Metric)>>,
-    /// Leading `log` entries whose read sets are untouched; the engine
-    /// serves exactly `min(intact, log.len())` entries.
-    pub intact: u32,
-}
-
 /// A persistent width-descent engine for callers that route demands one
 /// at a time against changing capacity vectors — the serve layer's
 /// admission path.
 ///
-/// Each width's candidate set is a pure function of the width's feasible
-/// subgraph (plus the immutable network and the demand endpoints), so a
-/// caller that caches per-(pair, width) candidate sets keyed by their
-/// recorded footprints can skip any width whose dependency set is
-/// untouched by intervening capacity deltas. The engine supplies both
-/// halves of that contract: it consults a reuse closure per width, and
-/// reports the footprint of every width it recomputes.
+/// The batch entry points rebuild the descent setup on every call: the
+/// feasibility view, the per-width channel-success tables, the search
+/// arena and the reachability view. The engine keeps all of them alive
+/// between calls, so an admission pays only the O(n) feasibility refresh
+/// for its capacity vector plus its own searches; channel tables are
+/// extended on demand and never rebuilt.
 ///
-/// With reuse always declined, the concatenated output equals the
-/// single-demand [`paths_selection`] result exactly — same code path —
-/// which the serve-layer differential oracle
-/// (`crates/serve/tests/incremental_oracle.rs`) locks down end to end.
+/// Each call runs exactly the code path of the batch engines, so its
+/// output equals the single-demand [`paths_selection`] result against the
+/// same capacity vector, byte for byte.
 #[derive(Debug, Clone, Default)]
 pub struct SelectionEngine {
     ctx: DescentContext,
@@ -839,17 +663,11 @@ impl SelectionEngine {
         self.state.counters = SelectionCounters::from_registry(registry);
     }
 
-    /// Runs the width descent for one demand against `capacity`,
-    /// consulting `reuse` per width: [`WidthReuse::Full`] slices are
-    /// returned as-is without searching, [`WidthReuse::Repair`] slices
-    /// replay the valid prefix of their recorded search log and search
-    /// live from the first damaged ordinal, and [`WidthReuse::Miss`]
-    /// slices are built from scratch. A `Full` verdict is valid iff no
-    /// node in the slice's recorded footprint has changed a feasibility
-    /// answer at its width since; a `Repair(intact)` verdict iff that
-    /// holds restricted to footprint strata below `intact`. When every
-    /// width is `Full`, nothing is rebuilt at all (no feasibility view,
-    /// no reachability, no searches).
+    /// Runs the width descent for one demand against `capacity` and
+    /// returns its candidates in the pipeline's canonical order
+    /// (descending width) — the same output as
+    /// `paths_selection(net, &[*demand], capacity, query.h,
+    /// query.max_width, query.mode)`.
     ///
     /// # Panics
     ///
@@ -861,8 +679,7 @@ impl SelectionEngine {
         demand: &Demand,
         capacity: &[u32],
         query: SelectionQuery,
-        mut reuse: impl FnMut(u32) -> WidthReuse,
-    ) -> Vec<SelectedWidth> {
+    ) -> Vec<CandidatePath> {
         let SelectionQuery { h, max_width, mode } = query;
         assert!(h > 0, "need at least one candidate per width");
         assert!(max_width > 0, "max width must be positive");
@@ -870,85 +687,11 @@ impl SelectionEngine {
             capacity.len() >= net.node_count(),
             "capacity vector too short"
         );
-        let slices: Vec<(u32, WidthReuse)> =
-            (1..=max_width).rev().map(|w| (w, reuse(w))).collect();
-        if slices.iter().all(|(_, r)| matches!(r, WidthReuse::Full(_))) {
-            // Full hit: the admission costs only the merge downstream.
-            return slices
-                .into_iter()
-                .map(|(width, r)| {
-                    let WidthReuse::Full(candidates) = r else {
-                        unreachable!("all slices checked Full")
-                    };
-                    SelectedWidth {
-                        width,
-                        candidates,
-                        footprint: None,
-                        raw_reads: 0,
-                        log: None,
-                        served: 0,
-                    }
-                })
-                .collect();
-        }
         let SelectionEngine { ctx, state } = self;
         ctx.refresh(net, capacity, max_width);
-        state
-            .reach
-            .begin(net.graph(), &ctx.feas, demand.dest, max_width);
-        slices
+        demand_candidates(net, demand, h, max_width, mode, ctx, state)
             .into_iter()
-            .map(|(width, cached)| {
-                if width < max_width {
-                    state.reach.descend(net.graph(), &ctx.feas, width);
-                }
-                match cached {
-                    WidthReuse::Full(candidates) => SelectedWidth {
-                        width,
-                        candidates,
-                        footprint: None,
-                        raw_reads: 0,
-                        log: None,
-                        served: 0,
-                    },
-                    verdict => {
-                        let serve = match verdict {
-                            WidthReuse::Repair(seed) => {
-                                let keep = (seed.intact as usize).min(seed.log.len());
-                                let mut s = seed.log;
-                                s.truncate(keep);
-                                s
-                            }
-                            _ => Vec::new(),
-                        };
-                        let served =
-                            u32::try_from(serve.len()).expect("log length fits u32");
-                        state.replay = Some(ReplayState {
-                            serve,
-                            log: Vec::new(),
-                        });
-                        state
-                            .recorder
-                            .get_or_insert_with(CertificateRecorder::default)
-                            .begin(net.node_count());
-                        let candidates = width_candidates(net, demand, h, width, mode, ctx, state);
-                        let recorder =
-                            state.recorder.as_mut().expect("recorder installed above");
-                        let raw_reads =
-                            u32::try_from(recorder.raw_len()).expect("read count fits u32");
-                        let footprint = recorder.drain();
-                        let log = state.replay.take().expect("replay installed above").log;
-                        SelectedWidth {
-                            width,
-                            candidates,
-                            footprint: Some(footprint),
-                            raw_reads,
-                            log: Some(log),
-                            served,
-                        }
-                    }
-                }
-            })
+            .flatten()
             .collect()
     }
 }
@@ -1316,6 +1059,69 @@ mod tests {
     }
 
     #[test]
+    fn engine_reuse_round_trips_and_skips_searches() {
+        let (net, demand, n) = triple_route();
+        let registry = Registry::enabled();
+        let mut engine = SelectionEngine::new();
+        engine.set_registry(&registry);
+        let q = SelectionQuery {
+            h: 2,
+            max_width: 3,
+            mode: SwapMode::NFusion,
+        };
+        let batch = |caps: &[u32], max_width: u32| {
+            paths_selection(
+                &net,
+                std::slice::from_ref(&demand),
+                caps,
+                2,
+                max_width,
+                SwapMode::NFusion,
+            )
+        };
+        let caps = net.capacities();
+        let first = engine.select_demand(&net, &demand, &caps, q);
+        assert_eq!(first, batch(&caps, 3));
+        assert!(!first.is_empty());
+
+        // A run against other capacities in between leaves nothing
+        // behind: the engine comes back to the first answer exactly.
+        let mut smaller = caps.clone();
+        smaller[n[2].index()] = 2;
+        smaller[n[5].index()] = 0;
+        let between = engine.select_demand(&net, &demand, &smaller, q);
+        assert_eq!(between, batch(&smaller, 3));
+        assert_ne!(between, first);
+        assert_eq!(engine.select_demand(&net, &demand, &caps, q), first);
+
+        // With every switch down to one relay qubit pair, widths 3 and 2
+        // cannot reach the destination: the reachability view skips their
+        // searches, which cost no heap pops at all.
+        let narrow: Vec<u32> = caps
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if net.is_switch(NodeId::new(i)) { 2 } else { c })
+            .collect();
+        let pops = || registry.snapshot().value("alg2.search.pops");
+        let skips = || registry.snapshot().value("alg2.reach_skips");
+        let (pops0, skips0) = (pops(), skips());
+        let descended = engine.select_demand(&net, &demand, &narrow, q);
+        assert_eq!(descended, batch(&narrow, 3));
+        assert!(descended.iter().all(|c| c.width == 1));
+        assert_eq!(skips() - skips0, 2, "one skipped first search per width");
+        let (pops1, skips1) = (pops(), skips());
+        let width_one =
+            engine.select_demand(&net, &demand, &narrow, SelectionQuery { max_width: 1, ..q });
+        assert_eq!(width_one, descended);
+        assert_eq!(skips(), skips1);
+        assert_eq!(
+            pops() - pops1,
+            pops1 - pops0,
+            "skipped widths must add no pops to the width-1 searches"
+        );
+    }
+
+    #[test]
     fn engine_without_reuse_matches_batch_selection() {
         use crate::network::NetworkParams;
         use fusion_topology::TopologyConfig;
@@ -1329,161 +1135,53 @@ mod tests {
         .generate(11);
         let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
         let demands = Demand::from_topology(&topo);
-        let caps = net.capacities();
+        let full = net.capacities();
+        let halved: Vec<u32> = full
+            .iter()
+            .enumerate()
+            .map(|(i, &c)| if i % 3 == 0 { c / 2 } else { c })
+            .collect();
+        let mut dry_endpoint = full.clone();
+        dry_endpoint[demands[0].source.index()] = 0;
+        // One engine across changing residuals, a shrinking and then a
+        // growing width bound (the channel tables extend on demand), a
+        // mode switch, and an endpoint with no qubits left.
+        let steps: [(&[u32], u32, SwapMode); 5] = [
+            (&full, 5, SwapMode::NFusion),
+            (&halved, 5, SwapMode::NFusion),
+            (&halved, 3, SwapMode::Classic),
+            (&dry_endpoint, 3, SwapMode::NFusion),
+            (&full, 7, SwapMode::NFusion),
+        ];
         let mut engine = SelectionEngine::new();
-        for demand in &demands {
-            let selected = engine.select_demand(
-                &net,
-                demand,
-                &caps,
-                SelectionQuery {
-                    h: 3,
-                    max_width: 5,
-                    mode: SwapMode::NFusion,
-                },
-                |_| WidthReuse::Miss,
-            );
-            assert!(selected.iter().all(|s| s.footprint.is_some()));
-            assert!(selected.iter().all(|s| s.log.is_some() && s.served == 0));
-            let flat: Vec<CandidatePath> =
-                selected.into_iter().flat_map(|s| s.candidates).collect();
-            let batch = paths_selection(
-                &net,
-                std::slice::from_ref(demand),
-                &caps,
-                3,
-                5,
-                SwapMode::NFusion,
-            );
-            assert_eq!(flat, batch, "engine must equal batch for {:?}", demand.id);
-        }
-    }
-
-    #[test]
-    fn engine_reuse_round_trips_and_skips_searches() {
-        let (net, demand, n) = triple_route();
-        let caps = net.capacities();
-        let mut engine = SelectionEngine::new();
-        let q = SelectionQuery {
-            h: 2,
-            max_width: 3,
-            mode: SwapMode::NFusion,
-        };
-        let first = engine.select_demand(&net, &demand, &caps, q, |_| WidthReuse::Miss);
-        // Certificates cover the endpoints and every path node of the
-        // width — and stay strictly inside the raw read set.
-        for sel in &first {
-            let fp = sel.footprint.as_ref().unwrap();
-            let holds = |v: NodeId| fp.iter().any(|e| e.node == v);
-            assert!(holds(demand.source) && holds(demand.dest));
-            for c in &sel.candidates {
-                for &v in c.path.nodes() {
-                    assert!(
-                        holds(v),
-                        "width {} certificate missing path node {v}",
-                        sel.width
-                    );
-                }
-            }
-            assert!(
-                fp.len() <= sel.raw_reads as usize,
-                "width {}: certificate ({}) exceeds raw reads ({})",
-                sel.width,
-                fp.len(),
-                sel.raw_reads
-            );
-        }
-        // Full reuse: identical candidates, no footprints, and it works
-        // even against a capacity vector the cached slices never saw
-        // (validity is the caller's contract).
-        let mut smaller = caps.clone();
-        smaller[n[5].index()] = 0;
-        let second = engine.select_demand(&net, &demand, &smaller, q, |w| {
-            first
-                .iter()
-                .find(|s| s.width == w)
-                .map_or(WidthReuse::Miss, |s| WidthReuse::Full(s.candidates.clone()))
-        });
-        assert!(second.iter().all(|s| s.footprint.is_none()));
-        for (a, b) in first.iter().zip(&second) {
-            assert_eq!(a.width, b.width);
-            assert_eq!(a.candidates, b.candidates);
-        }
-        // Partial reuse: only the declined width is recomputed.
-        let third = engine.select_demand(&net, &demand, &caps, q, |w| {
-            if w == 2 {
-                WidthReuse::Miss
-            } else {
-                first
-                    .iter()
-                    .find(|s| s.width == w)
-                    .map(|s| WidthReuse::Full(s.candidates.clone()))
-                    .unwrap()
-            }
-        });
-        for sel in &third {
-            assert_eq!(
-                sel.footprint.is_some(),
-                sel.width == 2,
-                "width {}",
-                sel.width
-            );
-            let fresh = first.iter().find(|s| s.width == sel.width).unwrap();
-            assert_eq!(sel.candidates, fresh.candidates);
-        }
-    }
-
-    #[test]
-    fn engine_repair_replays_prefix_byte_identically() {
-        use crate::network::NetworkParams;
-        use fusion_topology::TopologyConfig;
-
-        let topo = TopologyConfig {
-            num_switches: 24,
-            num_user_pairs: 5,
-            avg_degree: 5.0,
-            ..TopologyConfig::default()
-        }
-        .generate(29);
-        let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
-        let demands = Demand::from_topology(&topo);
-        let caps = net.capacities();
-        let q = SelectionQuery {
-            h: 3,
-            max_width: 4,
-            mode: SwapMode::NFusion,
-        };
-        let mut engine = SelectionEngine::new();
-        for demand in &demands {
-            let fresh = engine.select_demand(&net, demand, &caps, q, |_| WidthReuse::Miss);
-            // Replaying any intact prefix of a width's recorded log under
-            // unchanged capacity must reproduce the slice byte for byte:
-            // Yen's control state after k searches is a pure function of
-            // the first k results.
-            for sel in &fresh {
-                let log = sel.log.clone().unwrap();
-                for intact in [0, 1, log.len() as u32 / 2, log.len() as u32] {
-                    let repaired = engine.select_demand(&net, demand, &caps, q, |w| {
-                        if w == sel.width {
-                            WidthReuse::Repair(RepairSeed {
-                                log: log.clone(),
-                                intact,
-                            })
-                        } else {
-                            WidthReuse::Miss
-                        }
-                    });
-                    let r = repaired.iter().find(|s| s.width == sel.width).unwrap();
-                    assert_eq!(r.candidates, sel.candidates, "intact = {intact}");
-                    assert_eq!(r.served, intact.min(log.len() as u32), "intact = {intact}");
-                    assert_eq!(
-                        r.log.as_ref().unwrap(),
-                        &log,
-                        "replayed + live log must match the original, intact = {intact}"
-                    );
-                }
+        for (step, &(caps, max_width, mode)) in steps.iter().enumerate() {
+            let query = SelectionQuery {
+                h: 3,
+                max_width,
+                mode,
+            };
+            for demand in &demands {
+                let selected = engine.select_demand(&net, demand, caps, query);
+                let batch =
+                    paths_selection(&net, std::slice::from_ref(demand), caps, 3, max_width, mode);
+                assert_eq!(
+                    selected, batch,
+                    "step {step}: engine must equal batch for {:?}",
+                    demand.id
+                );
             }
         }
+        let dry = engine.select_demand(
+            &net,
+            &demands[0],
+            &dry_endpoint,
+            SelectionQuery {
+                h: 3,
+                max_width: 3,
+                mode: SwapMode::NFusion,
+            },
+        );
+        assert!(dry.is_empty(), "a dry endpoint has no candidates");
     }
 
     #[test]

@@ -19,9 +19,9 @@ pub mod pipeline;
 
 pub use alg1::{largest_rate_path, largest_rate_path_with, PathConstraints};
 pub use alg2::{
-    node_width_thresholds, paths_selection, paths_selection_counted, paths_selection_parallel,
-    paths_selection_parallel_counted, paths_selection_reference, CandidatePath, RepairSeed,
-    SelectedWidth, SelectionCounters, SelectionEngine, SelectionQuery, WidthReuse,
+    paths_selection, paths_selection_counted, paths_selection_parallel,
+    paths_selection_parallel_counted, paths_selection_reference, CandidatePath, SelectionCounters,
+    SelectionEngine, SelectionQuery,
 };
 pub use alg3::{paths_merge, MergeOutcome};
 pub use alg3_greedy::{
@@ -32,5 +32,5 @@ pub use alg4::assign_remaining;
 pub use pipeline::{
     alg_n_fusion, route, route_from_candidates_counted, route_from_candidates_traced,
     route_parallel, route_with_capacity, route_with_capacity_counted, route_with_capacity_traced,
-    AdmitStrategy, MergeOrder, PathSelection, RouteTrace, RoutingConfig,
+    MergeOrder, PathSelection, RouteTrace, RoutingConfig,
 };

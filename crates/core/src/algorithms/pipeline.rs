@@ -42,24 +42,6 @@ pub enum PathSelection {
     PerWidthSweep,
 }
 
-/// How the service layer (`fusion-serve`) routes each admission — the
-/// incremental-admission ablation knob (the service-layer counterpart of
-/// [`PathSelection`]). The batch entry points ignore it: they already
-/// amortize candidate construction across the whole demand set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AdmitStrategy {
-    /// Per-demand candidate caching with footprint-delta invalidation
-    /// (default): each admission reuses every cached width slice whose
-    /// recorded dependency set no intervening capacity delta touched, via
-    /// [`alg2::SelectionEngine`] and `fusion-serve`'s candidate cache.
-    /// Differentially tested byte-identical to from-scratch admission
-    /// (`crates/serve/tests/incremental_oracle.rs`).
-    Incremental,
-    /// Run the full width-descent pipeline from scratch per admission —
-    /// the retained reference engine.
-    FromScratch,
-}
-
 /// Tuning knobs of the routing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingConfig {
@@ -81,10 +63,10 @@ pub struct RoutingConfig {
     pub max_paths_per_demand: Option<usize>,
     /// Candidate consumption order for Algorithm 3.
     pub merge_order: MergeOrder,
-    /// Candidate-construction engine for Algorithm 2.
+    /// Candidate-construction engine for Algorithm 2 in batch routing;
+    /// the serve layer always runs the width descent (the two engines
+    /// produce identical candidates).
     pub path_selection: PathSelection,
-    /// Admission engine for the service layer (ignored by batch routing).
-    pub admit_strategy: AdmitStrategy,
     /// Swapping technology.
     pub mode: SwapMode,
 }
@@ -99,7 +81,6 @@ impl Default for RoutingConfig {
             max_paths_per_demand: None,
             merge_order: MergeOrder::GainPerQubit,
             path_selection: PathSelection::WidthDescent,
-            admit_strategy: AdmitStrategy::Incremental,
             mode: SwapMode::NFusion,
         }
     }
@@ -318,13 +299,12 @@ pub fn route_with_capacity_counted(
 /// Steps II and III of the pipeline on an externally-built candidate set:
 /// the capacity-aware merge, then leftover assignment.
 ///
-/// This is the re-entry point for incremental admission: a caller that
-/// can prove its candidates equal what Step I would produce against
-/// `capacity` — the serve layer's footprint-invalidated candidate cache —
-/// skips Step I and still gets a [`RouteTrace`] byte-identical to
-/// [`route_with_capacity_traced`], because the merge and Algorithm 4 are
-/// deterministic functions of (network, demands, candidates, config,
-/// capacity) and run fresh here either way.
+/// This is the serve layer's admission entry point: it builds Step I
+/// with a persistent [`alg2::SelectionEngine`], whose candidates equal
+/// what Step I would produce against `capacity`, and still gets a
+/// [`RouteTrace`] byte-identical to [`route_with_capacity_traced`],
+/// because the merge and Algorithm 4 are deterministic functions of
+/// (network, demands, candidates, config, capacity).
 ///
 /// # Panics
 ///

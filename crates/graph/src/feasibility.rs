@@ -22,7 +22,7 @@
 //! Algorithm 2 skip provably-empty searches without changing results.
 
 use crate::graph::{NodeId, UnGraph};
-use crate::stamps::{RecordedSet, StampedSet};
+use crate::stamps::StampedSet;
 
 /// Per-node width thresholds: the largest channel width each node can
 /// relay, and the largest it can terminate as a path endpoint.
@@ -132,9 +132,12 @@ impl WidthFeasibility {
 /// region they open up; everything else is carried over, which is the
 /// monotone-growth property the width descent of Algorithm 2 exploits.
 ///
-/// The structure is reusable: `begin` resets it for a new target in O(1)
-/// (generational sets) plus one bucket fill, so a per-worker instance
-/// serves many demands without reallocating.
+/// The structure is reusable: `begin` resets it for a new target in
+/// O(starting width) (generational sets, no per-node fill), so a
+/// per-worker instance serves many demands without reallocating. A node
+/// that is reached but cannot relay yet is bucketed under its relay width
+/// the first time the growth sweep reaches it, and expands when the
+/// descent gets there; nodes never reached cost nothing.
 ///
 /// # Examples
 ///
@@ -161,10 +164,10 @@ impl WidthFeasibility {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct DescentReach {
-    reached: RecordedSet,
+    reached: StampedSet,
     expanded: StampedSet,
-    /// Nodes grouped by relay width (clamped to the starting width);
-    /// bucket `w` is drained when the descent reaches width `w`.
+    /// Reached nodes that cannot relay yet, grouped by relay width; bucket
+    /// `w` is drained when the descent reaches width `w`.
     buckets: Vec<Vec<NodeId>>,
     queue: Vec<NodeId>,
     width: u32,
@@ -209,19 +212,9 @@ impl DescentReach {
         self.reached.clear(n);
         self.expanded.clear(n);
         self.width = width;
-
-        // Bucket nodes by the width at which they become relay-feasible.
-        // Nodes already feasible at the starting width are handled by the
-        // initial sweep; relay width 0 never activates.
         self.buckets.resize_with(width as usize + 1, Vec::new);
         for bucket in &mut self.buckets {
             bucket.clear();
-        }
-        for v in graph.node_ids() {
-            let rw = feas.relay_width(v);
-            if rw > 0 && rw < width {
-                self.buckets[rw as usize].push(v);
-            }
         }
 
         // The target expands unconditionally: it is the path endpoint, so
@@ -247,15 +240,17 @@ impl DescentReach {
             self.width
         );
         self.width = width;
-        // Activate the nodes crossing the threshold: those already
-        // reached start expanding now; the rest stay dormant until some
-        // expansion reaches them (grow() checks the *current* width).
-        let bucket = std::mem::take(&mut self.buckets[width as usize]);
-        for v in bucket {
-            if self.reached.contains(v.index()) && self.expanded.insert(v.index()) {
-                self.queue.push(v);
-            }
+        // Activate the reached nodes crossing the threshold (each was
+        // bucketed once, when first reached, and has not expanded since);
+        // the rest stay dormant until some expansion reaches them (grow()
+        // checks the *current* width). The bucket's allocation is kept.
+        let mut bucket = std::mem::take(&mut self.buckets[width as usize]);
+        for &v in &bucket {
+            self.expanded.insert(v.index());
+            self.queue.push(v);
         }
+        bucket.clear();
+        self.buckets[width as usize] = bucket;
         self.grow(graph, feas);
     }
 
@@ -273,48 +268,23 @@ impl DescentReach {
         self.reached.contains(node.index())
     }
 
-    /// The nodes the current reachability answers depend on: everything
-    /// reached from the target *plus* the probed-but-infeasible boundary
-    /// (the `grow` sweep marks a neighbor reached before checking its
-    /// relay feasibility, so the set is R ∪ ∂R, in visit order).
-    ///
-    /// If no node in this set changes its relay feasibility at the
-    /// current width, every [`can_reach`](DescentReach::can_reach) answer
-    /// is unchanged — any path into the unexplored region would have to
-    /// cross the recorded boundary. This is the dependency set a caller
-    /// records when it caches a decision made from a negative
-    /// reachability certificate (the serve layer's candidate cache).
-    pub fn reached_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reached.members().iter().map(|&i| NodeId::new(i))
-    }
-
-    /// The *blocked frontier* `∂R`: nodes that were probed by the growth
-    /// sweep but could not relay at the current width (reached but never
-    /// expanded). Any path from the unexplored region to the target would
-    /// have to cross one of these, so a negative
-    /// [`can_reach`](DescentReach::can_reach) answer depends only on
-    /// their relay answers staying infeasible — the tracked half of a
-    /// reach-skip certificate (the full dependency set is still
-    /// [`reached_nodes`](DescentReach::reached_nodes)).
-    ///
-    /// The target expands unconditionally, so it is never in this set.
-    pub fn blocked_frontier(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.reached
-            .members()
-            .iter()
-            .map(|&i| NodeId::new(i))
-            .filter(move |v| !self.expanded.contains(v.index()))
-    }
-
-    /// Breadth-first growth from the queued expansion seeds.
+    /// Growth from the queued expansion seeds. A newly reached node that
+    /// cannot relay at the current width is bucketed under its relay
+    /// width (relay width 0 never activates).
     fn grow<N, E>(&mut self, graph: &UnGraph<N, E>, feas: &WidthFeasibility) {
         while let Some(u) = self.queue.pop() {
             for v in graph.neighbors(u) {
-                if self.reached.insert(v.index())
-                    && feas.relay_feasible(v, self.width)
-                    && self.expanded.insert(v.index())
-                {
+                if !self.reached.insert(v.index()) {
+                    continue;
+                }
+                if feas.relay_feasible(v, self.width) {
+                    self.expanded.insert(v.index());
                     self.queue.push(v);
+                } else {
+                    let rw = feas.relay_width(v);
+                    if rw > 0 {
+                        self.buckets[rw as usize].push(v);
+                    }
                 }
             }
         }
@@ -454,13 +424,23 @@ mod tests {
     proptest! {
         /// Incremental descent must agree with a fresh BFS at every
         /// width, on random graphs with random capacities and user sets.
+        /// One instance serves every run in turn, each with its own
+        /// capacities, target and starting width, and some runs stop
+        /// before width 1: whatever a run leaves bucketed must not leak
+        /// into the next `begin`.
         #[test]
         fn descend_matches_fresh_bfs(
             edges in proptest::collection::vec((0usize..10, 0usize..10), 1..30),
-            caps in proptest::collection::vec(0u32..12, 10),
             users in proptest::collection::vec(0usize..10, 0..3),
-            target in 0usize..10,
-            start_width in 1u32..6,
+            runs in proptest::collection::vec(
+                (
+                    proptest::collection::vec(0u32..12, 10),
+                    0usize..10,
+                    1u32..6,
+                    1u32..6,
+                ),
+                1..5,
+            ),
         ) {
             let mut g: UnGraph<(), ()> = UnGraph::new();
             for _ in 0..10 {
@@ -471,28 +451,33 @@ mod tests {
                     g.add_edge(NodeId::new(u), NodeId::new(v), ());
                 }
             }
-            let feas = switch_feas(&caps, &users);
-            let target = NodeId::new(target);
             let mut reach = DescentReach::new();
-            reach.begin(&g, &feas, target, start_width);
-            for width in (1..=start_width).rev() {
-                if width < start_width {
-                    reach.descend(&g, &feas, width);
-                }
-                let naive = naive_reach(&g, &feas, target, width);
-                for v in g.node_ids() {
-                    prop_assert_eq!(
-                        reach.can_reach(v),
-                        naive[v.index()],
-                        "node {} at width {}", v.index(), width
-                    );
+            for (caps, target, start_width, stop_width) in runs {
+                let feas = switch_feas(&caps, &users);
+                let target = NodeId::new(target);
+                reach.begin(&g, &feas, target, start_width);
+                for width in (stop_width.min(start_width)..=start_width).rev() {
+                    if width < start_width {
+                        reach.descend(&g, &feas, width);
+                    }
+                    let naive = naive_reach(&g, &feas, target, width);
+                    for v in g.node_ids() {
+                        prop_assert_eq!(
+                            reach.can_reach(v),
+                            naive[v.index()],
+                            "node {} at width {} (target {}, start {})",
+                            v.index(), width, target.index(), start_width
+                        );
+                    }
                 }
             }
         }
 
-        /// `reached_nodes` is a sound dependency set: flipping the relay
-        /// feasibility of any node *outside* it leaves every `can_reach`
-        /// answer unchanged (and it always covers the reached set itself).
+        /// Reachability depends only on the reached region `R ∪ ∂R`:
+        /// changing the relay feasibility of a node the view never
+        /// reached (and so never bucketed) leaves every `can_reach`
+        /// answer unchanged, both in a fresh BFS and in the same instance
+        /// begun again on the changed capacities.
         #[test]
         fn unrecorded_nodes_cannot_change_reachability(
             edges in proptest::collection::vec((0usize..10, 0usize..10), 1..30),
@@ -515,22 +500,10 @@ mod tests {
             let target = NodeId::new(target);
             let mut reach = DescentReach::new();
             reach.begin(&g, &feas, target, width);
-            let recorded: Vec<bool> = {
-                let mut r = vec![false; g.node_count()];
-                for v in reach.reached_nodes() {
-                    r[v.index()] = true;
-                }
-                r
-            };
-            for v in g.node_ids() {
-                if reach.can_reach(v) {
-                    prop_assert!(
-                        recorded[v.index()],
-                        "reached node {} missing from reached_nodes", v.index()
-                    );
-                }
-            }
+            let recorded: Vec<bool> = g.node_ids().map(|v| reach.can_reach(v)).collect();
+            prop_assert!(recorded[target.index()], "the target must reach itself");
             let before = naive_reach(&g, &feas, target, width);
+            prop_assert_eq!(&recorded, &before);
             for v in g.node_ids() {
                 if recorded[v.index()] {
                     continue;
@@ -542,6 +515,14 @@ mod tests {
                     &before, &after,
                     "changing unrecorded node {} altered reachability", v.index()
                 );
+                reach.begin(&g, &feas, target, width);
+                for u in g.node_ids() {
+                    prop_assert_eq!(
+                        reach.can_reach(u),
+                        recorded[u.index()],
+                        "changing unrecorded node {} altered node {}", v.index(), u.index()
+                    );
+                }
                 feas.set_node(v, saved, saved);
             }
         }

@@ -123,11 +123,9 @@ impl StampedSet {
 /// This is the *footprint-recording* idiom: a hot loop inserts every key
 /// it touches (O(1), no hashing), and afterwards the member list *is* the
 /// read set — e.g. the nodes whose feasibility a width-descent search
-/// depended on, which the serve layer indexes to invalidate cached
-/// candidates precisely (see `docs/ARCHITECTURE.md`, "the generation
-/// discipline"). [`DescentReach`](crate::feasibility::DescentReach)
-/// tracks its reached set in one so the dependency set of a negative
-/// reachability certificate can be read back out.
+/// read, which [`CertificateRecorder`](crate::certificate::CertificateRecorder)
+/// keeps per feasibility kind (see `docs/ARCHITECTURE.md`, "the
+/// generation discipline").
 ///
 /// `clear` is O(previous members) but allocation-free after warmup;
 /// `insert` and `contains` are O(1).

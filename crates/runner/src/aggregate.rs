@@ -376,25 +376,26 @@ mod tests {
 
     #[test]
     fn repair_counters_ride_the_metric_contract() {
-        // The slice-repair counters surface in sweeps through the same
-        // generic `m_<counter>` mechanism as every other registry entry —
-        // pin their exact column names so a counter rename upstream
-        // cannot silently drop them from summary.json
-        // (`mean_m_<counter>`, sorted tail of the schema).
-        const REPAIR_COUNTERS: [&str; 3] = [
-            "m_serve.cache.damaged",
-            "m_serve.cache.repairs",
-            "m_serve.cache.repair_depth/count",
+        // Any registry counter, plain or a histogram's `/count` cell,
+        // surfaces in sweeps through the generic `m_<counter>` mechanism:
+        // it folds to its mean across seeds and keeps its exact column
+        // name in summary.json (`mean_m_<counter>`, sorted tail of the
+        // schema). The names are a neutral layer's, shaped like the
+        // repair counters this test first pinned.
+        const COUNTERS: [&str; 3] = [
+            "m_layer.damaged",
+            "m_layer.repairs",
+            "m_layer.repair_depth/count",
         ];
         let mut r0 = result_row("a", 100, "ALG-N-FUSION", 0, 1.0);
         let mut r1 = result_row("a", 100, "ALG-N-FUSION", 1, 3.0);
-        for (i, name) in REPAIR_COUNTERS.iter().enumerate() {
+        for (i, name) in COUNTERS.iter().enumerate() {
             r0.push_int(name, 2 * i as i64);
             r1.push_int(name, 4 * i as i64);
         }
         let summaries = aggregate_rows(&[r0, r1]);
         assert_eq!(summaries.len(), 1);
-        for (i, name) in REPAIR_COUNTERS.iter().enumerate() {
+        for (i, name) in COUNTERS.iter().enumerate() {
             let mean = summaries[0]
                 .metrics
                 .iter()
@@ -403,7 +404,7 @@ mod tests {
             assert_eq!(mean, Some(3.0 * i as f64), "{name} must fold to its mean");
         }
         let text = summary_json(&summaries);
-        for name in REPAIR_COUNTERS {
+        for name in COUNTERS {
             assert!(
                 text.contains(&format!("\"mean_{name}\"")),
                 "{name} missing from summary.json"

@@ -4,31 +4,27 @@
 //! ```text
 //! serve replay --preset NAME [--instance I] [--events N] [--seed S]
 //!              [--arrival-rate F] [--mean-holding F] [--link-down-rate F]
-//!              [--user-pool N] [--strategy incremental|from-scratch]
-//!              [--stats] [--metrics FILE] [--mc-rounds N]
+//!              [--user-pool N] [--stats] [--metrics FILE] [--mc-rounds N]
 //!              [--audit-every N] [--log FILE]
 //!     Builds the preset's network, generates a seeded trace, replays it,
 //!     and prints throughput (events/sec), admission statistics, and the
-//!     log fingerprint. Same preset + flags => byte-identical log, and
-//!     the log is strategy-independent: --strategy only changes speed.
+//!     log fingerprint. Same preset + flags => byte-identical log.
 //!     --user-pool restricts demands to the first N users (recurring
-//!     demands, the cache's regime); --stats prints the candidate-cache
-//!     hit/invalidation counters from the telemetry registry after an
-//!     incremental replay; --metrics writes the full deterministic-plane
-//!     snapshot (every counter and histogram) as versioned flat JSON.
+//!     demands); --stats prints the double-cut count and the digest of
+//!     the telemetry registry; --metrics writes the full
+//!     deterministic-plane snapshot (every counter and histogram) as
+//!     versioned flat JSON.
 //!
 //! serve presets
 //!     Lists the preset names.
 //! ```
 //!
 //! The EXPERIMENTS.md replay-throughput entries are produced with:
-//! `cargo run --release -p fusion-serve --bin serve -- replay --preset large-1k --events 100000 --user-pool 8 --stats --strategy incremental`
-//! (and `--strategy from-scratch` for the baseline).
+//! `cargo run --release -p fusion-serve --bin serve -- replay --preset large-1k --events 100000 --user-pool 8 --stats`
 
 use std::path::PathBuf;
 use std::time::Instant;
 
-use fusion_core::algorithms::AdmitStrategy;
 use fusion_serve::{
     generate, presets, replay, resolve_preset, ReplayOptions, ServiceState, TraceConfig,
 };
@@ -54,8 +50,9 @@ fn main() {
             println!(
                 "                    [--arrival-rate F] [--mean-holding F] [--link-down-rate F]"
             );
-            println!("                    [--user-pool N] [--strategy incremental|from-scratch]");
-            println!("                    [--stats] [--metrics FILE] [--mc-rounds N]");
+            println!(
+                "                    [--user-pool N] [--stats] [--metrics FILE] [--mc-rounds N]"
+            );
             println!("                    [--audit-every N] [--log FILE]");
             println!("       serve presets");
         }
@@ -74,7 +71,6 @@ struct ReplayArgs {
     options: ReplayOptions,
     log_path: Option<PathBuf>,
     metrics_path: Option<PathBuf>,
-    strategy: Option<AdmitStrategy>,
     print_stats: bool,
 }
 
@@ -87,7 +83,6 @@ impl Default for ReplayArgs {
             options: ReplayOptions::default(),
             log_path: None,
             metrics_path: None,
-            strategy: None,
             print_stats: false,
         }
     }
@@ -116,17 +111,6 @@ fn parse_replay_args(args: &[String]) -> Result<ReplayArgs, String> {
                 parsed.trace_config.link_down_rate = next_parsed(&mut it, "--link-down-rate")?;
             }
             "--user-pool" => parsed.trace_config.user_pool = next_parsed(&mut it, "--user-pool")?,
-            "--strategy" => {
-                parsed.strategy = Some(match next_str(&mut it, "--strategy")?.as_str() {
-                    "incremental" => AdmitStrategy::Incremental,
-                    "from-scratch" => AdmitStrategy::FromScratch,
-                    other => {
-                        return Err(format!(
-                            "--strategy must be incremental or from-scratch, got {other}"
-                        ));
-                    }
-                });
-            }
             "--stats" => parsed.print_stats = true,
             "--metrics" => {
                 parsed.metrics_path = Some(PathBuf::from(next_str(&mut it, "--metrics")?))
@@ -164,10 +148,7 @@ fn run_replay(args: &ReplayArgs) {
         net.node_count(),
         net.graph().edge_count()
     );
-    let mut routing = preset.routing_config();
-    if let Some(s) = args.strategy {
-        routing.admit_strategy = s;
-    }
+    let routing = preset.routing_config();
     // Telemetry is observational only — logs and digests are identical
     // either way — so the registry is enabled exactly when some output
     // reads it.
@@ -217,41 +198,10 @@ fn run_replay(args: &ReplayArgs) {
 
     if args.print_stats {
         let snap = state.registry().snapshot();
-        if snap.get("serve.cache.admissions").is_some() {
-            let v = |name: &str| snap.value(name);
-            println!("cache admissions {}", v("serve.cache.admissions"));
-            println!(
-                "cache hits       {} full, {} partial, {} miss",
-                v("serve.cache.full_hits"),
-                v("serve.cache.partial_hits"),
-                v("serve.cache.misses")
-            );
-            let reused = v("serve.cache.widths_reused");
-            let recomputed = v("serve.cache.widths_recomputed");
-            let consulted = reused + recomputed;
-            let hit_fraction = if consulted == 0 {
-                0.0
-            } else {
-                reused as f64 / consulted as f64
-            };
-            println!(
-                "widths           {reused} reused, {recomputed} recomputed ({hit_fraction:.4} hit fraction)",
-            );
-            println!(
-                "invalidations    {} by node, {} by edge, {} entries evicted",
-                v("serve.cache.invalidated_by_node"),
-                v("serve.cache.invalidated_by_edge"),
-                v("serve.cache.entries_evicted")
-            );
-            println!(
-                "repairs          {} slots damaged, {} repaired (depth histogram in --metrics)",
-                v("serve.cache.damaged"),
-                v("serve.cache.repairs")
-            );
-            println!("double cuts      {} no-op fail_links", v("serve.fail_link_noops"));
-        } else {
-            println!("cache            (from-scratch strategy: no cache)");
-        }
+        println!(
+            "double cuts      {} no-op fail_links",
+            snap.value("serve.fail_link_noops")
+        );
         println!("metrics digest   {:016x}", snap.digest());
     }
 
@@ -319,8 +269,6 @@ mod tests {
             "7",
             "--user-pool",
             "8",
-            "--strategy",
-            "from-scratch",
             "--stats",
             "--metrics",
             "out.json",
@@ -332,7 +280,6 @@ mod tests {
         assert_eq!(parsed.trace_config.events, 5000);
         assert_eq!(parsed.trace_config.seed, 7);
         assert_eq!(parsed.trace_config.user_pool, 8);
-        assert_eq!(parsed.strategy, Some(AdmitStrategy::FromScratch));
         assert!(parsed.print_stats);
         assert_eq!(parsed.metrics_path, Some(PathBuf::from("out.json")));
         assert_eq!(parsed.options.mc_rounds, 16);
@@ -364,8 +311,13 @@ mod tests {
     fn bad_values_are_reported_with_their_flag() {
         let err = parse_replay_args(&strs(&["--events", "many"])).unwrap_err();
         assert!(err.contains("--events could not parse many"), "{err}");
-        let err = parse_replay_args(&strs(&["--strategy", "psychic"])).unwrap_err();
-        assert!(err.contains("incremental or from-scratch"), "{err}");
+    }
+
+    #[test]
+    fn the_removed_strategy_flag_is_unknown() {
+        // Admission has one engine; the old `--strategy` knob is gone.
+        let err = parse_replay_args(&strs(&["--strategy", "from-scratch"])).unwrap_err();
+        assert!(err.contains("unknown flag --strategy"), "{err}");
     }
 
     /// Degenerate trace knobs are parse-time errors, not replay panics:

@@ -10,17 +10,12 @@
 //!   channel bookkeeping, with all-or-nothing charge/release and an
 //!   audit against the live plan set.
 //! * [`state`] — [`ServiceState`], the epoch-versioned engine:
-//!   [`admit`](ServiceState::admit) routes one demand with the batch
-//!   width-descent pipeline restricted to the residual capacity,
+//!   [`admit`](ServiceState::admit) routes one demand through a
+//!   persistent Algorithm 2 engine (`fusion_core`'s `SelectionEngine`)
+//!   and the batch merge, restricted to the residual capacity,
 //!   [`depart`](ServiceState::depart) returns capacity exactly, and
 //!   [`fail_link`](ServiceState::fail_link) evicts plans crossing a cut
 //!   fiber.
-//! * [`cache`] — the per-demand candidate cache behind
-//!   `AdmitStrategy::Incremental` (the default): Algorithm 2 candidate
-//!   sets keyed by (pair, width), invalidated by read footprint ×
-//!   feasibility flip-band as ledger deltas stream through.
-//!   `AdmitStrategy::FromScratch` keeps the uncached admission path as
-//!   the reference.
 //! * [`trace`] — seeded deterministic trace generation (Poisson
 //!   arrivals, exponential holding times, optional link-downs, optional
 //!   recurring-demand user pool).
@@ -29,30 +24,24 @@
 //! * [`mod@presets`] — named world presets mirroring the batch
 //!   experiments.
 //!
-//! The correctness story is two equivalence oracles
-//! (see `docs/ARCHITECTURE.md` at the repo root for the discipline):
-//!
-//! 1. *Residual-capacity equivalence* (`tests/service_oracle.rs`):
-//!    admitting against the ledger is proved byte-identical —
-//!    candidates, merge outcome, and finished plan — to running the
-//!    batch pipeline on a network whose capacities were pre-reduced by
-//!    the live plans, and depart ∘ admit is proved to restore the
-//!    ledger exactly.
-//! 2. *Incremental equivalence* (`tests/incremental_oracle.rs`): the
-//!    cached admission path is proved byte-identical to from-scratch
-//!    admission at every event of random admit/depart/link-down traces.
+//! The correctness story is one equivalence oracle
+//! (`tests/service_oracle.rs`; see `docs/ARCHITECTURE.md` at the repo
+//! root for the discipline): at every arrival of random
+//! admit/depart/link-down traces, the production admission is checked
+//! byte-identical — candidates, merge outcome, and finished plan — to
+//! running the batch pipeline on a network whose capacities were
+//! pre-reduced by the live plans, and depart ∘ admit is checked to
+//! restore the ledger exactly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod ledger;
 pub mod presets;
 pub mod replay;
 pub mod state;
 pub mod trace;
 
-pub use cache::CacheCounters;
 pub use ledger::{LedgerError, ResidualLedger};
 pub use presets::{presets, resolve_preset, ServePreset};
 pub use replay::{replay, ReplayOptions, ReplayReport, ReplayStats};

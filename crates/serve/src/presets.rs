@@ -8,10 +8,8 @@
 //! `serve_presets_mirror_bench` test in `fusion-bench`, which links both
 //! crates.
 //!
-//! Presets fix the *world*, not the admission strategy: the routing
-//! config they produce uses the default `AdmitStrategy::Incremental`,
-//! and `serve replay --strategy from-scratch` overrides it per run (the
-//! replay log is identical either way; see `mod@crate::replay`).
+//! Presets fix the *world*: the routing config they produce is the
+//! default n-fusion pipeline with the preset's `h`.
 
 use fusion_core::algorithms::RoutingConfig;
 use fusion_core::{NetworkParams, QuantumNetwork};

@@ -6,12 +6,9 @@
 //! as their IEEE-754 bit patterns so two replays can be compared
 //! byte-for-byte (see [`ReplayReport::fingerprint`]).
 //!
-//! The admission strategy is deliberately *not* part of that artifact:
-//! `AdmitStrategy::Incremental` (the candidate cache) and
-//! `AdmitStrategy::FromScratch` must produce the same log and the same
-//! [`ReplayStats`] on every trace — only wall-clock differs. Cache
-//! behaviour is observable separately through the `serve.cache.*`
-//! counters in the state's telemetry registry
+//! How much search an admission did is deliberately *not* part of that
+//! artifact: it is observable separately through the `alg2.*` counters
+//! in the state's telemetry registry
 //! ([`ServiceState::registry`](crate::ServiceState::registry)).
 //!
 //! When the state carries an enabled registry, the replay loop also

@@ -9,6 +9,11 @@
 //! evicts every plan crossing a failed fiber. Every successful mutation
 //! bumps the epoch; rejected admissions are strict no-ops.
 //!
+//! Every admission builds its Algorithm 2 candidates with one persistent
+//! [`SelectionEngine`], which keeps the descent setup (channel tables,
+//! search arena, reachability view) alive between admissions, then runs
+//! the ordinary merge and Algorithm 4 on them.
+//!
 //! The admission contract (locked down by `tests/service_oracle.rs`): the
 //! candidates, merge outcome, and finished plan of an admission against
 //! the residual ledger are byte-identical to running the batch pipeline
@@ -19,28 +24,13 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use fusion_core::algorithms::{
-    route_from_candidates_counted, route_with_capacity_counted, AdmitStrategy, CandidatePath,
-    RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
+    route_from_candidates_counted, RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
 };
 use fusion_core::{Demand, DemandId, DemandPlan, QuantumNetwork, ResourceUsage};
 use fusion_graph::{EdgeId, NodeId};
 use fusion_telemetry::{Counter, Registry};
 
-use crate::cache::CandidateCache;
 use crate::ledger::ResidualLedger;
-
-/// Upper bound on cached `(source, dest)` pair entries. Far above any
-/// realistic recurring-demand population, far below what an adversarial
-/// all-pairs trace could otherwise pin in memory.
-const MAX_CACHED_PAIRS: usize = 1024;
-
-/// The incremental admission machinery: the persistent width-descent
-/// engine and the footprint-invalidated candidate cache it feeds.
-#[derive(Debug, Clone)]
-struct IncrementalAdmission {
-    engine: SelectionEngine,
-    cache: CandidateCache,
-}
 
 /// Stable identifier of one live (or departed) plan. Ids are assigned in
 /// admission order and never reused.
@@ -137,12 +127,13 @@ pub struct ServiceState {
     next_plan: u64,
     live: BTreeMap<PlanId, LivePlan>,
     ledger: ResidualLedger,
-    /// Present iff `config.admit_strategy` is
-    /// [`AdmitStrategy::Incremental`]. Not part of the digest: the cache
-    /// only ever changes *when* work happens, never *what* is computed.
-    incremental: Option<Box<IncrementalAdmission>>,
+    /// The persistent Algorithm 2 engine every admission runs on. Not
+    /// part of the digest: it only keeps setup alive between admissions,
+    /// never changes what is computed.
+    engine: SelectionEngine,
     /// The telemetry registry every layer under this state records into
-    /// (`serve.cache.*`, `alg2.*`, `alg3.*`, `mc.*`, `serve.replay.*`).
+    /// (`serve.fail_link_noops`, `alg2.*`, `alg3.*`, `mc.*`,
+    /// `serve.replay.*`).
     /// Disabled by default; never part of the digest.
     registry: Registry,
     /// Canonical edge → epoch of its most recent `fail_link`: a repeat
@@ -167,17 +158,8 @@ impl ServiceState {
     #[must_use]
     pub fn with_telemetry(net: QuantumNetwork, config: RoutingConfig, registry: Registry) -> Self {
         let ledger = ResidualLedger::new(&net);
-        let incremental = match config.admit_strategy {
-            AdmitStrategy::Incremental => {
-                let mut engine = SelectionEngine::new();
-                engine.set_registry(&registry);
-                Some(Box::new(IncrementalAdmission {
-                    engine,
-                    cache: CandidateCache::new(&net, MAX_CACHED_PAIRS, &registry),
-                }))
-            }
-            AdmitStrategy::FromScratch => None,
-        };
+        let mut engine = SelectionEngine::new();
+        engine.set_registry(&registry);
         let fail_link_noops = registry.counter("serve.fail_link_noops");
         ServiceState {
             net,
@@ -186,7 +168,7 @@ impl ServiceState {
             next_plan: 0,
             live: BTreeMap::new(),
             ledger,
-            incremental,
+            engine,
             registry,
             failed_at: HashMap::new(),
             fail_link_noops,
@@ -194,7 +176,7 @@ impl ServiceState {
     }
 
     /// The telemetry registry this state records into. Snapshot it for
-    /// `serve.cache.*` / `alg2.*` counters, or hand it to co-operating
+    /// `alg2.*` / `alg3.*` counters, or hand it to co-operating
     /// layers (the replay loop records `serve.replay.*` through it).
     #[must_use]
     pub fn registry(&self) -> &Registry {
@@ -251,8 +233,8 @@ impl ServiceState {
 
     /// A copy of the network whose capacities equal the current residual —
     /// the batch side of the equivalence oracle: the batch pipeline on
-    /// this network must produce byte-identical output to
-    /// [`admission_trace`](ServiceState::admission_trace).
+    /// this network must produce byte-identical output to the next
+    /// [`admit_traced`](ServiceState::admit_traced).
     #[must_use]
     pub fn reduced_network(&self) -> QuantumNetwork {
         self.net.with_capacities(self.ledger.residual())
@@ -272,96 +254,6 @@ impl ServiceState {
             source,
             dest,
         )
-    }
-
-    /// Runs the *from-scratch* admission pipeline for `source -> dest`
-    /// against the residual ledger — always
-    /// [`route_with_capacity_counted`] end to end, regardless of
-    /// `config.admit_strategy` — *without mutating anything*, returning
-    /// the full per-stage trace. `None` when no switch has a free qubit
-    /// (the pipeline cannot run on a width bound of zero).
-    ///
-    /// This is the reference side of both equivalence oracles: the
-    /// residual-capacity oracle compares it against the batch pipeline on
-    /// [`reduced_network`](ServiceState::reduced_network), and the
-    /// incremental oracle compares cached admissions against it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source == dest`.
-    #[must_use]
-    pub fn admission_trace(&self, source: NodeId, dest: NodeId) -> Option<RouteTrace> {
-        let residual = self.ledger.residual();
-        if self.net.max_switch_capacity_in(residual) == 0 {
-            return None;
-        }
-        let demand = self.next_demand(source, dest);
-        Some(route_with_capacity_counted(
-            &self.net,
-            &[demand],
-            &self.config,
-            residual,
-            1,
-            &self.registry,
-        ))
-    }
-
-    /// The incremental admission path: candidate construction through the
-    /// persistent [`SelectionEngine`], reusing every cached width slice
-    /// the cache still vouches for, then the ordinary merge + Algorithm 4
-    /// on the assembled candidates. Byte-identical to
-    /// [`admission_trace`](ServiceState::admission_trace) by the
-    /// footprint-invalidation contract (see `cache.rs`), which
-    /// `tests/incremental_oracle.rs` enforces.
-    fn incremental_trace(&mut self, source: NodeId, dest: NodeId) -> Option<RouteTrace> {
-        let ServiceState {
-            net,
-            config,
-            next_plan,
-            ledger,
-            incremental,
-            registry,
-            ..
-        } = self;
-        let residual = ledger.residual();
-        if net.max_switch_capacity_in(residual) == 0 {
-            return None;
-        }
-        let max_width = config
-            .max_width
-            .unwrap_or_else(|| net.max_switch_capacity_in(residual));
-        let demand = Demand::new(
-            DemandId::new(usize::try_from(*next_plan).expect("plan counter fits usize")),
-            source,
-            dest,
-        );
-        let key = (source, dest);
-        let IncrementalAdmission { engine, cache } = incremental
-            .as_mut()
-            .expect("incremental_trace requires the incremental strategy")
-            .as_mut();
-        let selected = engine.select_demand(
-            net,
-            &demand,
-            residual,
-            SelectionQuery {
-                h: config.h,
-                max_width,
-                mode: config.mode,
-            },
-            |w| cache.reuse(key, w, demand.id),
-        );
-        cache.store(net, key, &selected);
-        let candidates: Vec<CandidatePath> =
-            selected.into_iter().flat_map(|s| s.candidates).collect();
-        Some(route_from_candidates_counted(
-            net,
-            &[demand],
-            config,
-            residual,
-            candidates,
-            registry,
-        ))
     }
 
     /// Routes a new demand against the residual capacity and, if a route
@@ -404,8 +296,10 @@ impl ServiceState {
 
     /// [`admit`](ServiceState::admit), also returning the admission's
     /// full pipeline trace (`None` when the network was saturated and the
-    /// pipeline never ran) — the hook the incremental-vs-from-scratch
-    /// differential oracle compares per event.
+    /// pipeline never ran) — the hook the service oracle compares with
+    /// the batch pipeline on
+    /// [`reduced_network`](ServiceState::reduced_network) at every
+    /// arrival.
     ///
     /// # Panics
     ///
@@ -415,14 +309,28 @@ impl ServiceState {
         source: NodeId,
         dest: NodeId,
     ) -> (AdmitOutcome, Option<RouteTrace>) {
-        let trace = if self.incremental.is_some() {
-            self.incremental_trace(source, dest)
-        } else {
-            self.admission_trace(source, dest)
-        };
-        let Some(trace) = trace else {
+        let residual = self.ledger.residual();
+        let widest = self.net.max_switch_capacity_in(residual);
+        if widest == 0 {
             return (AdmitOutcome::Rejected(RejectReason::Saturated), None);
+        }
+        let demand = self.next_demand(source, dest);
+        let query = SelectionQuery {
+            h: self.config.h,
+            max_width: self.config.max_width.unwrap_or(widest),
+            mode: self.config.mode,
         };
+        let candidates = self
+            .engine
+            .select_demand(&self.net, &demand, residual, query);
+        let trace = route_from_candidates_counted(
+            &self.net,
+            &[demand],
+            &self.config,
+            residual,
+            candidates,
+            &self.registry,
+        );
         let plan = trace
             .plan
             .plans
@@ -434,10 +342,6 @@ impl ServiceState {
         }
         let usage = plan.resource_usage();
         let rate = plan.rate(&self.net, self.config.mode);
-        // The charge below changes residuals at every node the plan
-        // touches; tell the cache before the ledger moves so the deltas
-        // see the pre-charge values.
-        self.note_usage_delta(&usage, true);
         self.ledger
             .charge(&self.net, &usage)
             .expect("pipeline respects residual capacity");
@@ -457,34 +361,10 @@ impl ServiceState {
         (AdmitOutcome::Accepted { id, rate }, Some(trace))
     }
 
-    /// Feeds one about-to-be-applied residual change into the candidate
-    /// cache: `charge` true when `usage` is being charged (residual
-    /// drops), false when released. Must run *before* the ledger mutates
-    /// so `old` reads the pre-change residuals. No-op under the
-    /// from-scratch strategy.
-    fn note_usage_delta(&mut self, usage: &ResourceUsage, charge: bool) {
-        let ServiceState {
-            net,
-            ledger,
-            incremental,
-            ..
-        } = self;
-        let Some(inc) = incremental.as_mut() else {
-            return;
-        };
-        let residual = ledger.residual();
-        for &(node, qubits) in &usage.node_qubits {
-            let old = residual[node.index()];
-            let new = if charge { old - qubits } else { old + qubits };
-            inc.cache.apply_node_delta(net, node, old, new);
-        }
-    }
-
     /// Tears a live plan down, returning its capacity to the ledger
     /// exactly. `None` (and no state change) if `id` is not live.
     pub fn depart(&mut self, id: PlanId) -> Option<LivePlan> {
         let lp = self.live.remove(&id)?;
-        self.note_usage_delta(&lp.usage, false);
         self.ledger
             .release(&self.net, &lp.usage)
             .expect("live usage was charged at admission");
@@ -506,22 +386,11 @@ impl ServiceState {
         let canon = self.net.graph().find_edge(u, v).unwrap_or(edge);
         // Double cut: if this fiber already failed and nothing mutated
         // the state since (same epoch), the first cut already evicted
-        // every crossing plan and cached route — re-scanning the live set
-        // and posting lists would find nothing. Counted, not silent.
-        // (Cache slots stored by *rejected* admissions in between are not
-        // re-dropped; that is a freshness nuance, never a soundness one —
-        // the network model does not mutate on a cut.)
+        // every crossing plan — re-scanning the live set would find
+        // nothing. Counted, not silent.
         if self.failed_at.get(&canon) == Some(&self.epoch) {
             self.fail_link_noops.inc();
             return Vec::new();
-        }
-        // Freshness policy: cached candidates that cross the cut fiber
-        // are dropped even though the network model never mutates —
-        // routing bytes are unaffected (the ledger deltas below handle
-        // that), but routes planned over a fiber that just failed should
-        // not be replayed from cache indefinitely.
-        if let Some(inc) = self.incremental.as_mut() {
-            inc.cache.fail_edge(&self.net, edge);
         }
         let key = if u <= v { (u, v) } else { (v, u) };
         let victims: Vec<PlanId> = self
@@ -711,84 +580,4 @@ mod tests {
         assert_eq!(victims.contains(&id2), crossed);
         state.audit().unwrap();
     }
-
-    /// The repair path through the *full* admission stack: a damaged
-    /// slot must be replayed up to its intact prefix, recomputed past
-    /// it, counted (`serve.cache.repairs`, `serve.cache.repair_depth`),
-    /// and stay byte-identical to a from-scratch twin. Organic churn
-    /// traces reach damage-then-reuse only in a deep tail (the flipping
-    /// batch must avoid every ordinal-0 read of the slot), so the
-    /// minimal damage is inflicted directly — which is conservative:
-    /// repaired widths recompute against live residuals either way.
-    #[test]
-    fn repair_fires_through_the_full_admission_path() {
-        let topo = TopologyConfig {
-            num_switches: 20,
-            num_user_pairs: 3,
-            avg_degree: 5.0,
-            ..TopologyConfig::default()
-        }
-        .generate(13);
-        let build = |strategy| {
-            let net = QuantumNetwork::from_topology(
-                &topo,
-                &NetworkParams {
-                    switch_capacity: 48,
-                    ..NetworkParams::default()
-                },
-            );
-            ServiceState::with_telemetry(
-                net,
-                RoutingConfig {
-                    admit_strategy: strategy,
-                    max_width: Some(4),
-                    ..RoutingConfig::n_fusion()
-                },
-                Registry::enabled(),
-            )
-        };
-        let mut inc = build(AdmitStrategy::Incremental);
-        let mut scr = build(AdmitStrategy::FromScratch);
-        let demands = Demand::from_topology(&topo);
-
-        // Two admissions: the first charges the network, both pairs'
-        // slots survive the charges (capacity 48 keeps the flip bands
-        // away from widths <= 4) with multi-search logs and late-ordinal
-        // certificate reads — exactly the shape organic damage needs.
-        // Damage the lowest such slot, then re-admit its own pair.
-        for dm in &demands[..2] {
-            let (a, ta) = inc.admit_traced(dm.source, dm.dest);
-            let (b, tb) = scr.admit_traced(dm.source, dm.dest);
-            assert_eq!(a, b);
-            assert!(ta == tb, "warmup trace diverged");
-            assert!(matches!(a, AdmitOutcome::Accepted { .. }));
-        }
-
-        let cache = &mut inc.incremental.as_mut().expect("incremental state").cache;
-        let (key, w, k) = cache
-            .first_repairable()
-            .expect("fixture must store a repairable slot (seed 13 does)");
-        assert!(k > 0);
-        cache.damage_for_test(key, w, k);
-        let (s, d) = key;
-
-        let (a, ta) = inc.admit_traced(s, d);
-        let (b, tb) = scr.admit_traced(s, d);
-        assert_eq!(a, b, "repaired admission outcome diverged");
-        assert!(ta == tb, "repaired admission trace diverged");
-        assert!(inc.digest() == scr.digest());
-        let snap = inc.registry().snapshot();
-        assert!(
-            snap.value("serve.cache.repairs") >= 1,
-            "damaged slot was never repair-served"
-        );
-        assert_eq!(
-            snap.value("serve.cache.repair_depth/count"),
-            snap.value("serve.cache.repairs"),
-            "every repair records its depth"
-        );
-        inc.audit().unwrap();
-        scr.audit().unwrap();
-    }
 }
-

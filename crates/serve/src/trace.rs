@@ -28,9 +28,9 @@ pub struct TraceConfig {
     /// Poisson rate of transient link failures; `0.0` disables them.
     pub link_down_rate: f64,
     /// Restrict demands to the first `user_pool` users of the network
-    /// (`0` = every user). A small pool makes demands *recur*, which is
-    /// the regime the incremental admission cache is built for; the
-    /// default of `0` leaves the generator's RNG stream untouched.
+    /// (`0` = every user). A small pool makes demands *recur* and
+    /// saturates the capacity around the pool; the default of `0` leaves
+    /// the generator's RNG stream untouched.
     pub user_pool: usize,
     /// Seed of the generator's RNG.
     pub seed: u64,

@@ -3,13 +3,16 @@
 //! Three properties lock the online engine to the batch pipeline:
 //!
 //! 1. **Residual-capacity equivalence** — at every arrival of a random
-//!    admit/depart/link-down trace, the admission run against the
-//!    residual ledger is byte-identical (Algorithm 2 candidates,
-//!    Algorithm 3 `MergeOutcome`, and the finished plan) to running the
-//!    batch pipeline on a network whose capacities were pre-reduced by
-//!    the live plans (`QuantumNetwork::with_capacities`). When the serve
-//!    side refuses to route (saturated), the reduced network must be
-//!    unroutable too.
+//!    admit/depart/link-down trace, the production admission
+//!    (`admit_traced`: the state's persistent Algorithm 2 engine, then
+//!    the merge and Algorithm 4) is byte-identical (Algorithm 2
+//!    candidates, Algorithm 3 `MergeOutcome`, and the finished plan) to
+//!    running the batch pipeline on a network whose capacities were
+//!    pre-reduced by the live plans (`QuantumNetwork::with_capacities`),
+//!    taken just before the call. The engine lives across every event of
+//!    the trace, so any state it carried from one admission into the
+//!    next would diverge here. When the serve side refuses to route
+//!    (saturated), the reduced network must be unroutable too.
 //! 2. **Conservation** — `depart ∘ admit` restores the ledger exactly,
 //!    the ledger audit balances against the live set after every event,
 //!    and no residual counter ever exceeds its capacity (they are
@@ -19,6 +22,9 @@
 //!    arrival (and its scheduled departure) from the trace and replaying
 //!    from scratch yields the same final `StateDigest`.
 //!
+//! Oracle 1's per-arrival check lives in `common/mod.rs`;
+//! `incremental_oracle.rs` runs it over churn-bound traces.
+//!
 //! The reduced grid runs in tier-1 CI on every push; the wide grid
 //! (`--ignored`) covers larger networks and harsher p/q corners for
 //! release validation:
@@ -27,49 +33,15 @@
 //! cargo test --release -p fusion-serve --test service_oracle -- --ignored
 //! ```
 
+mod common;
+
 use std::collections::{BTreeMap, BTreeSet};
 
-use fusion_core::algorithms::{route_with_capacity_traced, RoutingConfig};
-use fusion_core::{NetworkParams, QuantumNetwork};
-use fusion_serve::{replay, ReplayOptions, ServiceState, Trace, TraceConfig, TraceEventKind};
-use fusion_topology::{GeneratorKind, TopologyConfig};
+use fusion_serve::{replay, AdmitOutcome, ReplayOptions, Trace, TraceConfig, TraceEventKind};
 
+use common::{admit_checked, build_state};
 use proptest::prelude::*;
-use proptest::test_runner::ProptestConfig;
-
-#[allow(clippy::too_many_arguments)]
-fn build_state(
-    switches: usize,
-    pairs: usize,
-    grid: bool,
-    seed: u64,
-    p: f64,
-    q: f64,
-    h: usize,
-    classic: bool,
-) -> ServiceState {
-    let topo = TopologyConfig {
-        num_switches: switches,
-        num_user_pairs: pairs,
-        avg_degree: 6.0,
-        kind: if grid {
-            GeneratorKind::Grid
-        } else {
-            GeneratorKind::default() // Waxman, the paper's family
-        },
-        ..TopologyConfig::default()
-    }
-    .generate(seed);
-    let mut net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
-    net.set_uniform_link_success(Some(p));
-    net.set_swap_success(q);
-    let base = if classic {
-        RoutingConfig::classic()
-    } else {
-        RoutingConfig::n_fusion()
-    };
-    ServiceState::new(net, RoutingConfig { h, ..base })
-}
+use proptest::test_runner::{ProptestConfig, TestCaseError};
 
 /// Drives one sampled world through a random trace, checking the
 /// equivalence and conservation oracles at every event, then replays the
@@ -88,9 +60,9 @@ fn check_service_case(
     trace_seed: u64,
     link_down_rate: f64,
     mean_holding: f64,
-) -> Result<(), proptest::test_runner::TestCaseError> {
+    user_pool: usize,
+) -> Result<(), TestCaseError> {
     let mut state = build_state(switches, pairs, grid, seed, p, q, h, classic);
-    let config = *state.config();
     let trace = fusion_serve::generate(
         state.network(),
         &TraceConfig {
@@ -98,7 +70,7 @@ fn check_service_case(
             arrival_rate: 1.0,
             mean_holding,
             link_down_rate,
-            user_pool: 0,
+            user_pool,
             seed: trace_seed,
         },
     );
@@ -113,52 +85,13 @@ fn check_service_case(
                 source,
                 dest,
             } => {
-                // Oracle 1: serve-side admission trace vs batch pipeline
-                // on the capacity-reduced network.
-                let serve_side = state.admission_trace(source, dest);
-                let reduced = state.reduced_network();
-                match &serve_side {
-                    None => prop_assert_eq!(
-                        reduced.max_switch_capacity(),
-                        0,
-                        "serve refused as saturated but the reduced network still has qubits"
-                    ),
-                    Some(serve_trace) => {
-                        let demand = state.next_demand(source, dest);
-                        let batch = route_with_capacity_traced(
-                            &reduced,
-                            &[demand],
-                            &config,
-                            &reduced.capacities(),
-                            1,
-                        );
-                        prop_assert_eq!(
-                            serve_trace.candidates == batch.candidates,
-                            true,
-                            "Algorithm 2 candidates diverged at arrival {}",
-                            arrival
-                        );
-                        prop_assert_eq!(
-                            serve_trace.merge == batch.merge,
-                            true,
-                            "Algorithm 3 merge outcome diverged at arrival {}",
-                            arrival
-                        );
-                        prop_assert_eq!(
-                            serve_trace.plan == batch.plan,
-                            true,
-                            "finished plan diverged at arrival {}",
-                            arrival
-                        );
-                    }
-                }
-
-                // Oracle 2a: depart ∘ admit restores the ledger exactly;
-                // rejection changes nothing at all.
+                // Oracle 2a, on the outcome of Oracle 1's call: depart ∘
+                // admit restores the ledger exactly; rejection changes
+                // nothing at all.
                 let ledger_before = state.ledger().clone();
                 let digest_before = state.digest();
-                match state.admit(source, dest) {
-                    fusion_serve::AdmitOutcome::Accepted { id, .. } => {
+                match admit_checked(&mut state, source, dest, arrival)? {
+                    AdmitOutcome::Accepted { id, .. } => {
                         let mut undone = state.clone();
                         undone.depart(id).expect("just admitted");
                         prop_assert_eq!(
@@ -170,7 +103,7 @@ fn check_service_case(
                         by_arrival.insert(arrival, id);
                         arrival_of.insert(id, arrival);
                     }
-                    fusion_serve::AdmitOutcome::Rejected(_) => {
+                    AdmitOutcome::Rejected(_) => {
                         prop_assert_eq!(
                             state.digest() == digest_before,
                             true,
@@ -205,9 +138,7 @@ fn check_service_case(
                 cap
             );
         }
-        if let Err(e) = state.audit() {
-            return Err(proptest::test_runner::TestCaseError::fail(e));
-        }
+        state.audit().map_err(TestCaseError::fail)?;
     }
 
     // The manual loop above must agree with the production replay loop.
@@ -249,7 +180,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// The tier-1 reduced grid: small Waxman/grid worlds, both swap
-    /// modes, short traces with link-downs.
+    /// modes, short traces with link-downs, with every user or a small
+    /// recurring pool of them.
     #[test]
     fn service_oracles_hold_reduced(
         switches in 10usize..28,
@@ -264,6 +196,7 @@ proptest! {
         trace_seed in 0u64..1_000_000,
         link_down in 0usize..2,
         mean_holding in 4.0f64..40.0,
+        pool in 0usize..3,
     ) {
         check_service_case(
             switches,
@@ -278,6 +211,7 @@ proptest! {
             trace_seed,
             link_down as f64 * 0.08,
             mean_holding,
+            2 * pool,
         )?;
     }
 }
@@ -286,8 +220,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// The wide grid: larger worlds, longer traces, heavier load (small
-    /// mean holding pushes churn; large pushes saturation), and harsher
-    /// p/q corners. Run explicitly with `-- --ignored`.
+    /// mean holding pushes churn; large pushes saturation), harsher p/q
+    /// corners, and recurring user pools. Run explicitly with
+    /// `-- --ignored`.
     #[test]
     #[ignore = "wide service-oracle grid; minutes of runtime, run with -- --ignored"]
     fn service_oracles_hold_wide(
@@ -303,6 +238,7 @@ proptest! {
         trace_seed in 0u64..u64::MAX,
         link_down in 0usize..3,
         mean_holding in 1.0f64..120.0,
+        pool in 0usize..4,
     ) {
         check_service_case(
             switches,
@@ -317,6 +253,7 @@ proptest! {
             trace_seed,
             link_down as f64 * 0.05,
             mean_holding,
+            2 * pool,
         )?;
     }
 }
