@@ -16,10 +16,21 @@
 //!     Compares two result files, normalizing by the `calibration`
 //!     workload when both sides carry it. Exits 1 when any workload is
 //!     more than FRAC (default 0.40 = +40% wall time) over baseline.
+//!
+//! perfbench work --metrics DIR [--out FILE | --check FILE]
+//!     Collects the counter snapshots a `run --metrics DIR` wrote into one
+//!     per-workload work file (to FILE, default stdout). With --check it
+//!     compares them with a committed work file instead and exits 1 on
+//!     any difference, naming each one. Counts cover the warmup and every
+//!     repetition, so compare runs made with the same --reps.
 //! ```
 //!
 //! Regenerate the committed baseline with:
 //! `cargo run --release -p fusion-bench --bin perfbench -- run --out BENCH_BASELINE.json`
+//!
+//! and the committed work counts (`--reps 7`, as CI runs) with:
+//! `perfbench run --reps 7 --metrics DIR` then
+//! `perfbench work --metrics DIR --out BENCH_WORK.json`.
 
 use std::path::PathBuf;
 
@@ -31,14 +42,18 @@ fn main() {
     match args.first().map(String::as_str) {
         Some("run") => run(&args[1..]),
         Some("compare") => compare(&args[1..]),
+        Some("work") => work(&args[1..]),
         Some("--help" | "-h") | None => {
             println!(
                 "usage: perfbench run [--out FILE] [--reps N] [--filter SUBSTR] [--metrics DIR]"
             );
             println!("       perfbench compare --baseline FILE --current FILE [--threshold FRAC] [--report FILE]");
+            println!("       perfbench work --metrics DIR [--out FILE | --check FILE]");
             println!("workloads: {}", perf::WORKLOADS.join(" "));
         }
-        Some(other) => die(&format!("unknown subcommand {other}; try run or compare")),
+        Some(other) => die(&format!(
+            "unknown subcommand {other}; try run, compare or work"
+        )),
     }
 }
 
@@ -142,6 +157,54 @@ fn compare(args: &[String]) {
         std::process::exit(1);
     }
     eprintln!("bench gate passed");
+}
+
+fn work(args: &[String]) {
+    let mut metrics_dir: Option<PathBuf> = None;
+    let mut out: Option<PathBuf> = None;
+    let mut check: Option<PathBuf> = None;
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        match arg.as_str() {
+            "--metrics" => metrics_dir = Some(next_path(&mut it, "--metrics")),
+            "--out" => out = Some(next_path(&mut it, "--out")),
+            "--check" => check = Some(next_path(&mut it, "--check")),
+            other => die(&format!("unknown flag {other}")),
+        }
+    }
+    let dir = metrics_dir.unwrap_or_else(|| die("work needs --metrics DIR"));
+    let current = perf::read_work_dir(&dir).unwrap_or_else(|e| die(&e));
+    match (out, check) {
+        (Some(_), Some(_)) => die("work takes --out or --check, not both"),
+        (None, Some(path)) => {
+            let text = std::fs::read_to_string(&path)
+                .unwrap_or_else(|e| die(&format!("could not read {}: {e}", path.display())));
+            let baseline = perf::parse_work_json(&text)
+                .unwrap_or_else(|e| die(&format!("could not parse {}: {e}", path.display())));
+            let differences = perf::work_differences(&baseline, &current);
+            if differences.is_empty() {
+                eprintln!("work gate passed: every counter equals {}", path.display());
+                return;
+            }
+            for line in &differences {
+                println!("{line}");
+            }
+            eprintln!(
+                "work gate FAILED: {} counter difference(s) against {}; after an intended \
+                 change, regenerate it from `perfbench run --reps 7 --metrics DIR`",
+                differences.len(),
+                path.display()
+            );
+            std::process::exit(1);
+        }
+        (Some(path), None) => {
+            if let Err(e) = std::fs::write(&path, perf::work_to_json(&current)) {
+                die(&format!("could not write {}: {e}", path.display()));
+            }
+            eprintln!("wrote {}", path.display());
+        }
+        (None, None) => print!("{}", perf::work_to_json(&current)),
+    }
 }
 
 fn read_results(path: &PathBuf) -> Vec<(String, f64)> {

@@ -11,7 +11,13 @@
 //! The committed reference numbers live in `BENCH_BASELINE.json` at the
 //! repo root; regenerate them with
 //! `cargo run --release -p fusion-bench --bin perfbench -- run --out BENCH_BASELINE.json`.
+//!
+//! Wall time is the noisy half of the gate. The exact half is the work the
+//! workloads count: `BENCH_WORK.json` pins every counter of every
+//! workload's telemetry snapshot ([`WorkCounts`]), and `perfbench work
+//! --check` fails on any difference.
 
+use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -19,7 +25,7 @@ use fusion_core::algorithms::{alg1, alg2, alg3_greedy, MergeCounters};
 use fusion_core::{metrics, SwapMode};
 use fusion_graph::{SearchCounters, SearchScratch};
 use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
-use fusion_telemetry::Registry;
+use fusion_telemetry::{MetricsSnapshot, Registry};
 
 use crate::workloads::{Algorithm, ExperimentConfig};
 
@@ -410,6 +416,142 @@ pub fn compare(
         .collect()
 }
 
+/// Deterministic work per workload, in [`WORKLOADS`] order: each
+/// workload's counter snapshot from `perfbench run --metrics DIR`. The
+/// counts cover the warmup and every timed repetition, so they are a pure
+/// function of the code and `--reps`. `BENCH_WORK.json` pins them for
+/// `--reps 7`.
+pub type WorkCounts = Vec<(String, BTreeMap<String, u64>)>;
+
+/// Reads the `<workload>.metrics.json` snapshots a `perfbench run
+/// --metrics DIR` wrote, in [`WORKLOADS`] order. Workloads without a
+/// snapshot file are left out.
+///
+/// # Errors
+///
+/// A description of the first unreadable or malformed snapshot, or of a
+/// directory holding none.
+pub fn read_work_dir(dir: &std::path::Path) -> Result<WorkCounts, String> {
+    let mut work = WorkCounts::new();
+    for name in WORKLOADS {
+        let path = dir.join(format!("{name}.metrics.json"));
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(e) => return Err(format!("could not read {}: {e}", path.display())),
+        };
+        let snapshot =
+            MetricsSnapshot::parse_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let counters = snapshot.iter().map(|(k, v)| (k.to_string(), v)).collect();
+        work.push((name.to_string(), counters));
+    }
+    if work.is_empty() {
+        return Err(format!("no <workload>.metrics.json in {}", dir.display()));
+    }
+    Ok(work)
+}
+
+/// Serializes work counts as one JSON object of per-workload objects, one
+/// counter per line.
+#[must_use]
+pub fn work_to_json(work: &WorkCounts) -> String {
+    let mut out = String::from("{\n");
+    for (i, (name, counters)) in work.iter().enumerate() {
+        out.push_str(&format!("  \"{name}\": {{"));
+        for (j, (key, value)) in counters.iter().enumerate() {
+            let comma = if j + 1 < counters.len() { "," } else { "" };
+            out.push_str(&format!("\n    \"{key}\": {value}{comma}"));
+        }
+        if !counters.is_empty() {
+            out.push_str("\n  ");
+        }
+        out.push_str(if i + 1 < work.len() { "},\n" } else { "}\n" });
+    }
+    out.push_str("}\n");
+    out
+}
+
+/// Parses the format written by [`work_to_json`].
+///
+/// # Errors
+///
+/// Returns a description of the first malformed line.
+pub fn parse_work_json(text: &str) -> Result<WorkCounts, String> {
+    let body = text
+        .trim()
+        .strip_prefix('{')
+        .and_then(|s| s.strip_suffix('}'))
+        .ok_or_else(|| "expected a JSON object".to_string())?;
+    let mut work = WorkCounts::new();
+    let mut open = false;
+    for line in body.lines() {
+        let line = line.trim().trim_end_matches(',');
+        if line.is_empty() {
+            continue;
+        }
+        if line == "}" && open {
+            open = false;
+            continue;
+        }
+        let malformed = || format!("malformed line {line:?}");
+        let (key, value) = line.split_once(':').ok_or_else(malformed)?;
+        let key = key
+            .trim()
+            .strip_prefix('"')
+            .and_then(|s| s.strip_suffix('"'))
+            .ok_or_else(malformed)?
+            .to_string();
+        let value = value.trim();
+        if !open && (value == "{" || value == "{}") {
+            open = value == "{";
+            work.push((key, BTreeMap::new()));
+        } else if let (true, Some((_, counters))) = (open, work.last_mut()) {
+            counters.insert(key, value.parse().map_err(|_| malformed())?);
+        } else {
+            return Err(malformed());
+        }
+    }
+    if open {
+        return Err("unterminated workload object".to_string());
+    }
+    Ok(work)
+}
+
+/// Every difference between two work counts, one line each: a workload or
+/// counter present on one side only, or a count that moved. Empty means
+/// the current run did exactly the baseline's work.
+#[must_use]
+pub fn work_differences(baseline: &WorkCounts, current: &WorkCounts) -> Vec<String> {
+    fn find<'a>(set: &'a WorkCounts, name: &str) -> Option<&'a BTreeMap<String, u64>> {
+        set.iter().find(|(n, _)| n == name).map(|(_, c)| c)
+    }
+    let mut out = Vec::new();
+    for (name, base) in baseline {
+        let Some(cur) = find(current, name) else {
+            out.push(format!("{name}: missing from the current run"));
+            continue;
+        };
+        for (key, &b) in base {
+            match cur.get(key) {
+                Some(&c) if c == b => {}
+                Some(&c) => out.push(format!("{name} {key}: {b} -> {c}")),
+                None => out.push(format!("{name} {key}: {b} -> absent")),
+            }
+        }
+        for (key, &c) in cur {
+            if !base.contains_key(key) {
+                out.push(format!("{name} {key}: absent -> {c}"));
+            }
+        }
+    }
+    for (name, _) in current {
+        if find(baseline, name).is_none() {
+            out.push(format!("{name}: not in the baseline"));
+        }
+    }
+    out
+}
+
 /// Renders a comparison table; the caller decides how to exit.
 #[must_use]
 pub fn render_comparison(comparisons: &[Comparison], threshold: f64) -> String {
@@ -527,6 +669,75 @@ mod tests {
         assert_eq!(
             workloads, baseline,
             "WORKLOADS and BENCH_BASELINE.json keys diverged; regenerate the baseline"
+        );
+    }
+
+    #[test]
+    fn work_json_round_trips() {
+        let counters = |pairs: &[(&str, u64)]| {
+            pairs
+                .iter()
+                .map(|&(k, v)| (k.to_string(), v))
+                .collect::<BTreeMap<_, _>>()
+        };
+        let work: WorkCounts = vec![
+            ("calibration".into(), BTreeMap::new()),
+            (
+                "alg2_select".into(),
+                counters(&[("alg2.search.pops", 102_900_000), ("alg2.spur_searches", 7)]),
+            ),
+            ("serve_replay".into(), counters(&[("h/p2_3", u64::MAX)])),
+        ];
+        let text = work_to_json(&work);
+        assert_eq!(parse_work_json(&text).unwrap(), work);
+        assert!(parse_work_json("{\n  \"a\": {\n    \"x\": 1\n}").is_err());
+        assert!(parse_work_json("{\n  \"x\": 1\n}").is_err());
+        assert!(parse_work_json("{\n  \"a\": {\n    \"x\": -1\n  }\n}").is_err());
+    }
+
+    #[test]
+    fn work_differences_name_every_change() {
+        let one = |k: &str, v: u64| BTreeMap::from([(k.to_string(), v)]);
+        let baseline: WorkCounts = vec![
+            ("a".into(), one("pops", 10)),
+            ("b".into(), one("pops", 5)),
+            ("c".into(), one("pops", 1)),
+        ];
+        assert!(work_differences(&baseline, &baseline).is_empty());
+        let current: WorkCounts = vec![
+            ("a".into(), one("pops", 9)),
+            ("b".into(), one("relaxations", 5)),
+            ("d".into(), BTreeMap::new()),
+        ];
+        assert_eq!(
+            work_differences(&baseline, &current),
+            [
+                "a pops: 10 -> 9",
+                "b pops: 5 -> absent",
+                "b relaxations: absent -> 5",
+                "c: missing from the current run",
+                "d: not in the baseline",
+            ]
+        );
+    }
+
+    #[test]
+    fn work_file_covers_every_workload() {
+        // BENCH_WORK.json pins the counters of the whole workload set.
+        // Regenerate with `perfbench run --reps 7 --metrics DIR` followed
+        // by `perfbench work --metrics DIR --out BENCH_WORK.json`.
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_WORK.json");
+        let text = std::fs::read_to_string(path).expect("BENCH_WORK.json at the repo root");
+        let work = parse_work_json(&text).expect("committed work file parses");
+        let names: Vec<&str> = work.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(
+            names, WORKLOADS,
+            "BENCH_WORK.json must list every workload in order"
+        );
+        assert_eq!(
+            work_to_json(&work),
+            text,
+            "BENCH_WORK.json is in canonical form"
         );
     }
 

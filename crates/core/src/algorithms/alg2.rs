@@ -19,10 +19,10 @@
 //!   width step — only the newly-feasible region is re-searched — and
 //!   whose negative answers are exact certificates that let provably-empty
 //!   searches be skipped before they explore the graph;
-//! * runs every remaining Yen/Dijkstra query *goal-directed*
-//!   ([`max_product_resume`]): the search pauses the moment the
-//!   destination settles, instead of exhausting all of a 10k-switch
-//!   graph for a path that only needs its near side;
+//! * runs every remaining Yen/Dijkstra query *goal-directed*: the
+//!   search stops the moment the destination settles, instead of
+//!   exhausting all of a 10k-switch graph for a path that only needs its
+//!   near side;
 //! * reuses one [`SearchScratch`] arena and per-width channel-success
 //!   tables (`1 - (1 - p_e)^w` per edge, computed once per width, not
 //!   once per relaxation);
@@ -36,12 +36,36 @@
 //! retained original implementation — which the differential harness
 //! (`crates/core/tests/alg2_differential.rs`) enforces over random
 //! networks, loads, seeds, and modes.
+//!
+//! # Search kernel
+//!
+//! Every search runs on [`WidthSearch`], a flat goal-directed
+//! max-product kernel in `fusion_graph::search`. Its contract is
+//! *count-preserving*: it settles the same nodes in the same order and
+//! performs the same relaxations as the generic
+//! `max_product_resume(..).run_to(dest)` with this module's edge and
+//! transit rules, so every path, `f64` metric and `alg2.search.*` counter
+//! is unchanged. It saves time per pop and per relaxation, not pops:
+//!
+//! * its heap holds packed `u128` keys, the metric's bits above the node
+//!   index. For finite metrics `>= +0.0` the bits read as an integer grow
+//!   with the value, so the integer order is the `(Metric, NodeId)`
+//!   order, ties included, and each push asserts that condition;
+//! * it walks the network's [`ArcView`] (`(neighbour, edge)` `u32` pairs
+//!   in `incident_edges` order), built once per network in
+//!   `DescentContext` like the channel tables;
+//! * channel rows are checked in `(0, 1]` once, when built, and `q` once
+//!   per search; bans, the relay gate (destination exempt) and switch
+//!   flags are read inline.
+//!
+//! `crates/graph/tests/width_search_oracle.rs` holds the kernel to the
+//! generic run, counts included.
 
 use std::collections::HashSet;
 
-use fusion_graph::search::max_product_resume;
 use fusion_graph::{
-    BanMask, DescentReach, Metric, NodeId, Path, SearchCounters, SearchScratch, WidthFeasibility,
+    ArcView, BanMask, DescentReach, EdgeFactors, Metric, NodeId, Path, SearchCounters,
+    SearchScratch, WidthFeasibility, WidthSearch,
 };
 use fusion_telemetry::{Counter, Registry};
 
@@ -236,14 +260,21 @@ pub fn paths_selection_parallel_counted(
 
 /// Read-only width-descent context shared by every demand (and every
 /// worker): the width-indexed feasibility view over the caller's capacity
-/// vector, and per-width channel-success tables.
+/// vector, per-width channel-success tables, and the network's arc view
+/// and switch flags for the [`WidthSearch`] kernel.
 #[derive(Debug, Clone, Default)]
 struct DescentContext {
     feas: WidthFeasibility,
     /// `channel[w - 1][e] = net.channel_success(e, w)` — the same
-    /// expression Algorithm 1 evaluates inline, computed once per
-    /// (width, edge) instead of once per relaxation.
-    channel: Vec<Vec<f64>>,
+    /// expression Algorithm 1 evaluates inline, computed (and checked to
+    /// lie in `(0, 1]`) once per (width, edge) instead of once per
+    /// relaxation.
+    channel: Vec<EdgeFactors>,
+    /// The network graph's arcs, in `incident_edges` order.
+    arcs: ArcView,
+    /// `switches[v] = net.is_switch(v)`: the nodes a path may pass
+    /// through.
+    switches: Vec<bool>,
 }
 
 impl DescentContext {
@@ -254,13 +285,17 @@ impl DescentContext {
     }
 
     /// Rebuilds the feasibility view for `capacity` and extends the
-    /// channel tables to cover `max_width`. Channel success depends only
-    /// on the immutable network, so rows already built are kept — a
-    /// persistent [`SelectionEngine`] pays the table cost once, not once
-    /// per admission.
+    /// channel tables to cover `max_width`. Channel success, the arc view
+    /// and the switch flags depend only on the immutable network, so they
+    /// are built once and kept — a persistent [`SelectionEngine`] pays
+    /// for them once, not once per admission.
     fn refresh(&mut self, net: &QuantumNetwork, capacity: &[u32], max_width: u32) {
         if self.feas.len() != net.node_count() {
             self.feas = WidthFeasibility::new(net.node_count());
+        }
+        if self.arcs.node_count() != net.node_count() {
+            self.arcs = ArcView::new(net.graph());
+            self.switches = net.graph().node_ids().map(|v| net.is_switch(v)).collect();
         }
         for v in net.graph().node_ids() {
             // Paper line 9: an intermediate switch pins 2w qubits, so it
@@ -421,23 +456,16 @@ fn stamp_bans(bans: &mut BanMask, constraints: &PathConstraints, n: usize) {
     }
 }
 
-/// `true` if `constraints` forbid stepping from `from` into `to`, read
-/// from their stamped `bans`: one compare for the node ban, and the exact
-/// hop lookup only when both endpoints carry a hop mark.
-#[inline]
-fn step_banned(bans: &BanMask, constraints: &PathConstraints, from: NodeId, to: NodeId) -> bool {
-    bans.node_banned(to) || (bans.hop_marked(from, to) && constraints.hop_banned(from, to))
-}
-
 /// Width-`width` largest-rate search from `source` to the demand's
 /// destination under the descent state: preconditions and feasibility
 /// rules are exactly those of [`largest_rate_path_with`] (the width view
 /// encodes them — `endpoint_feasible` is `capacity >= w`,
 /// `relay_feasible` is "switch with `capacity >= 2w`"), but the search
-/// is goal-directed (pauses when the destination settles), reads channel
-/// successes from the per-width table, checks bans against the stamped
-/// [`BanMask`], and is skipped outright when the reachability view
-/// certifies it cannot succeed.
+/// runs on the [`WidthSearch`] kernel — goal-directed (it stops when the
+/// destination settles), over the context's arc view and per-width
+/// channel table, with bans read from the stamped [`BanMask`] — and is
+/// skipped outright when the reachability view certifies it cannot
+/// succeed.
 fn descent_search(
     net: &QuantumNetwork,
     source: NodeId,
@@ -473,33 +501,22 @@ fn descent_search(
         return None;
     }
 
-    let q = net.swap_success();
-    let feas = &ctx.feas;
-    let channel = &ctx.channel[(width - 1) as usize];
-    let bans = &*bans;
-    max_product_resume(
-        scratch,
-        net.graph(),
-        source,
-        |from, e| {
-            let to = e.other(from);
-            if step_banned(bans, constraints, from, to) {
-                return None;
-            }
-            // Entering `to` as an intermediate pins 2w qubits there; only
-            // the destination gets away with w (paper line 9). Users other
-            // than the destination cannot relay at all.
-            if to != dest && !feas.relay_feasible(to, width) {
-                return None;
-            }
-            Some(channel[e.id.index()])
-        },
-        |via| {
-            // Transit through a node costs one fusion; users never relay.
-            net.is_switch(via).then_some(q)
-        },
-    )
-    .run_to(dest)
+    // Entering a node as an intermediate pins 2w qubits there; only the
+    // destination gets away with w (paper line 9), which is the kernel's
+    // relay gate. Transit through a switch costs one fusion, at `q`;
+    // users never relay.
+    WidthSearch {
+        arcs: &ctx.arcs,
+        factors: &ctx.channel[(width - 1) as usize],
+        transit_nodes: &ctx.switches,
+        transit: net.swap_success(),
+        feas: &ctx.feas,
+        width,
+        bans: &*bans,
+    }
+    .run_to(scratch, source, dest, |from, to| {
+        constraints.hop_banned(from, to)
+    })
 }
 
 /// Yen's algorithm over Algorithm 1 for one demand at one width, driven
@@ -1230,7 +1247,7 @@ mod tests {
                     for to in (0..n).map(NodeId::new) {
                         let exact = cons.banned_nodes.contains(&to) || cons.hop_banned(from, to);
                         proptest::prop_assert_eq!(
-                            step_banned(&bans, &cons, from, to),
+                            bans.step_banned(from, to, |u, v| cons.hop_banned(u, v)),
                             exact,
                             "step {:?} -> {:?}",
                             from,

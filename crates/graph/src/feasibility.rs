@@ -103,6 +103,7 @@ impl WidthFeasibility {
     /// # Panics
     ///
     /// Panics if `node` is out of bounds.
+    #[inline]
     #[must_use]
     pub fn relay_feasible(&self, node: NodeId, width: u32) -> bool {
         self.relay[node.index()] >= width

@@ -8,7 +8,8 @@
 //! * [`Metric`] — a totally ordered, non-NaN `f64` wrapper used for
 //!   probability-product routing metrics.
 //! * [`search`] — Dijkstra (min-sum and max-product flavours), BFS,
-//!   connected components, and resumable goal-directed runs.
+//!   connected components, resumable goal-directed runs, and
+//!   [`WidthSearch`], the flat max-product kernel of Algorithm 2.
 //! * [`yen`] — Yen's k-shortest loopless paths.
 //! * [`feasibility`] — width-indexed capacity feasibility and the
 //!   incrementally-repaired reachability behind width-descent searches.
@@ -55,6 +56,6 @@ pub use feasibility::{DescentReach, WidthFeasibility};
 pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 pub use metric::Metric;
 pub use path::{Path, PathError};
-pub use search::{SearchCounters, SearchScratch};
+pub use search::{ArcView, EdgeFactors, SearchCounters, SearchScratch, WidthSearch};
 pub use stamps::{BanMask, RecordedSet};
 pub use unionfind::{DisjointSets, GenerationalDisjointSets};

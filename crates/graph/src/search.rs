@@ -6,15 +6,22 @@
 //! probabilities and per-switch swap probabilities, all in `(0, 1]`, so the
 //! greedy frontier argument of Dijkstra applies with `max`/`*` in place of
 //! `min`/`+`.
+//!
+//! [`WidthSearch`] is the flat kernel every Algorithm 2 search runs on:
+//! the goal-directed [`max_product_resume`] run specialised to one
+//! width's feasibility rules over an [`ArcView`], counting the same pops
+//! and relaxations in the same order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use fusion_telemetry::{Counter, Registry};
 
+use crate::feasibility::WidthFeasibility;
 use crate::graph::{EdgeRef, NodeId, UnGraph};
 use crate::metric::Metric;
 use crate::path::Path;
+use crate::stamps::BanMask;
 
 const NO_PREV: usize = usize::MAX;
 
@@ -87,6 +94,8 @@ pub struct SearchScratch {
     settled: crate::stamps::StampedSet,
     min_heap: BinaryHeap<Reverse<(Metric, NodeId)>>,
     max_heap: BinaryHeap<(Metric, NodeId)>,
+    /// [`WidthSearch`]'s frontier of packed `(metric, node)` keys.
+    key_heap: BinaryHeap<u128>,
     /// Telemetry handles; disabled (free) by default.
     pub counters: SearchCounters,
 }
@@ -108,6 +117,7 @@ impl SearchScratch {
             settled: crate::stamps::StampedSet::default(),
             min_heap: BinaryHeap::new(),
             max_heap: BinaryHeap::new(),
+            key_heap: BinaryHeap::new(),
             counters: SearchCounters::default(),
         };
         scratch.settled.clear(nodes);
@@ -125,6 +135,7 @@ impl SearchScratch {
         self.settled.clear(n);
         self.min_heap.clear();
         self.max_heap.clear();
+        self.key_heap.clear();
     }
 
     /// `true` if `i` has been written during the current run.
@@ -659,6 +670,294 @@ where
     }
 }
 
+/// Flat per-graph adjacency for [`WidthSearch`]: each node's
+/// `(neighbour, edge)` arcs as `u32` pairs, in
+/// [`UnGraph::incident_edges`] order, so a search over the view meets
+/// edges — and breaks ties — exactly as a search over the graph does.
+///
+/// The view depends only on the graph's structure: build it once per
+/// graph and keep it.
+#[derive(Debug, Clone, Default)]
+pub struct ArcView {
+    /// Node `v`'s arcs are `arcs[start[v]..start[v + 1]]`.
+    start: Vec<usize>,
+    /// `(neighbour, edge)` per arc.
+    arcs: Vec<(u32, u32)>,
+    /// Edge count of the viewed graph.
+    edges: usize,
+}
+
+impl ArcView {
+    /// Builds the view of `graph`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a node or edge index does not fit in `u32`.
+    #[must_use]
+    pub fn new<N, E>(graph: &UnGraph<N, E>) -> Self {
+        let mut start = Vec::with_capacity(graph.node_count() + 1);
+        let mut arcs = Vec::with_capacity(2 * graph.edge_count());
+        start.push(0);
+        for u in graph.node_ids() {
+            arcs.extend(
+                graph
+                    .incident_edges(u)
+                    .map(|e| (index_u32(e.other(u).index()), index_u32(e.id.index()))),
+            );
+            start.push(arcs.len());
+        }
+        ArcView {
+            start,
+            arcs,
+            edges: graph.edge_count(),
+        }
+    }
+
+    /// Number of nodes the view covers.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Node `u`'s arcs.
+    #[inline]
+    fn arcs_of(&self, u: usize) -> &[(u32, u32)] {
+        &self.arcs[self.start[u]..self.start[u + 1]]
+    }
+}
+
+/// A graph index as the `u32` the [`ArcView`] and frontier keys store.
+fn index_u32(i: usize) -> u32 {
+    u32::try_from(i).expect("graph index must fit in u32")
+}
+
+/// A stored `u32` index back as a `usize`.
+#[inline]
+fn index_usize(i: u32) -> usize {
+    usize::try_from(i).expect("u32 index must fit in usize")
+}
+
+/// Per-edge success factors for [`WidthSearch`], by edge id. Each factor
+/// is checked to lie in `(0, 1]` once, when the row is collected, so the
+/// search does not re-check it on every relaxation.
+///
+/// # Panics
+///
+/// Collecting panics if a factor is outside `(0, 1]`.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EdgeFactors(Vec<f64>);
+
+impl FromIterator<f64> for EdgeFactors {
+    fn from_iter<I: IntoIterator<Item = f64>>(factors: I) -> Self {
+        EdgeFactors(
+            factors
+                .into_iter()
+                .inspect(|&f| assert!(f > 0.0 && f <= 1.0, "edge factor must be in (0,1], got {f}"))
+                .collect(),
+        )
+    }
+}
+
+/// Packs a frontier entry into one `u128` whose integer order is the
+/// `(Metric, NodeId)` order of [`max_product_resume`]'s heap: the
+/// metric's bits above the node index. For finite metrics `>= +0.0` the
+/// IEEE-754 bit pattern read as a `u64` grows with the value (subnormals
+/// included), so comparing keys compares metrics first and breaks exact
+/// ties on the node, as the tuple does.
+///
+/// # Panics
+///
+/// Panics unless `metric` is finite and non-negative. `-0.0` is rejected
+/// too: its sign bit would sort it above every other metric.
+#[inline]
+fn frontier_key(metric: f64, node: u32) -> u128 {
+    assert!(
+        metric.is_finite() && metric.is_sign_positive(),
+        "frontier metric must be finite and non-negative, got {metric}"
+    );
+    (u128::from(metric.to_bits()) << 64) | u128::from(node)
+}
+
+/// Splits a [`frontier_key`] into its metric bits and node index.
+#[inline]
+fn split_key(key: u128) -> (u64, usize) {
+    let bits = u64::try_from(key >> 64).expect("the high half fits in u64");
+    let node = u32::try_from(key & u128::from(u32::MAX)).expect("the low half is masked to u32");
+    (bits, index_usize(node))
+}
+
+/// One goal-directed, width-feasible max-product search: the flat kernel
+/// every Algorithm 2 search (first path and Yen spur) runs on.
+///
+/// [`run_to`](WidthSearch::run_to) computes exactly what the generic run
+/// over the graph that `arcs` views computes:
+///
+/// ```text
+/// max_product_resume(scratch, graph, source,
+///     |from, e| {
+///         let to = e.other(from);
+///         if to != dest && !feas.relay_feasible(to, width) { return None; }
+///         if bans.step_banned(from, to, &hop_banned) { return None; }
+///         Some(factors[e.id])
+///     },
+///     |via| transit_nodes[via].then_some(transit),
+/// ).run_to(dest)
+/// ```
+///
+/// The kernel is *count-preserving*: it settles the same nodes in the
+/// same order and performs the same relaxations (same `f64` products,
+/// same label writes), so it adds the same pops, relaxations and
+/// exhaustions to `scratch.counters`. It drops overhead, not work:
+///
+/// * the frontier holds packed `u128` keys, the metric's bits above the
+///   node index. For finite metrics `>= +0.0` the bits read as an
+///   integer grow with the value, so the keys' integer order is the
+///   generic heap's `(Metric, NodeId)` order, ties included, and every
+///   push asserts that condition. A node is re-pushed only with a
+///   strictly larger metric, so no two entries are equal and both heaps
+///   pop the same sequence;
+/// * arcs come from the flat [`ArcView`], in `incident_edges` order;
+/// * edge factors are checked once per row ([`EdgeFactors`]) and
+///   `transit` once per search, not once per relaxation;
+/// * the ban mask, the relay gate and the transit flags are read inline,
+///   not through closures;
+/// * counts accumulate locally and reach the counters once per search.
+///
+/// `crates/graph/tests/width_search_oracle.rs` holds the kernel to the
+/// generic run.
+#[derive(Debug, Clone, Copy)]
+pub struct WidthSearch<'a> {
+    /// The searched graph's arcs.
+    pub arcs: &'a ArcView,
+    /// Success factor of each edge at this width.
+    pub factors: &'a EdgeFactors,
+    /// Nodes a path may pass through; each transit multiplies the metric
+    /// by `transit`. The source always expands.
+    pub transit_nodes: &'a [bool],
+    /// The per-transit factor, in `(0, 1]`.
+    pub transit: f64,
+    /// Relay thresholds: a node other than the destination is entered
+    /// only if it can relay `width`.
+    pub feas: &'a WidthFeasibility,
+    /// The channel width the relay gate tests.
+    pub width: u32,
+    /// The search's banned nodes and hop marks.
+    pub bans: &'a BanMask,
+}
+
+impl WidthSearch<'_> {
+    /// Settles nodes from `source` until `dest` settles and returns its
+    /// best path and metric; `None` when the frontier exhausts first
+    /// (counted as an exhaustion) or `dest` settles at metric 0.
+    /// `hop_banned(from, to)` decides the hops whose endpoints both carry
+    /// a hop mark in `bans`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `transit` is outside `(0, 1]`, if `transit_nodes`,
+    /// `feas` or `bans` covers fewer nodes than `arcs`, if `factors`
+    /// covers fewer edges, or if `source` or `dest` is out of bounds.
+    pub fn run_to(
+        &self,
+        scratch: &mut SearchScratch,
+        source: NodeId,
+        dest: NodeId,
+        hop_banned: impl Fn(NodeId, NodeId) -> bool,
+    ) -> Option<(Path, Metric)> {
+        let WidthSearch {
+            arcs,
+            factors,
+            transit_nodes,
+            transit,
+            feas,
+            width,
+            bans,
+        } = *self;
+        assert!(
+            transit > 0.0 && transit <= 1.0,
+            "transit factor must be in (0,1], got {transit}"
+        );
+        let n = arcs.node_count();
+        assert!(
+            transit_nodes.len() >= n && feas.len() >= n,
+            "transit flags and feasibility must cover every node"
+        );
+        assert!(
+            factors.0.len() >= arcs.edges,
+            "edge factors must cover every edge"
+        );
+        let (src, dst) = (source.index(), dest.index());
+        assert!(src < n && dst < n, "endpoints must be nodes of the view");
+
+        scratch.begin(n);
+        let SearchScratch {
+            dist,
+            prev,
+            stamps,
+            key_heap,
+            counters,
+            ..
+        } = scratch;
+        dist[src] = 1.0;
+        prev[src] = NO_PREV;
+        stamps.mark(src);
+        key_heap.push(frontier_key(1.0, index_u32(src)));
+        let (mut pops, mut relaxations) = (0u64, 1u64);
+        let mut settled = false;
+        while let Some(key) = key_heap.pop() {
+            let (bits, u) = split_key(key);
+            if dist[u].to_bits() != bits {
+                continue; // stale entry
+            }
+            pops += 1;
+            // The source expands at factor 1; a node the path may not
+            // pass through settles without expanding.
+            let through = if u == src {
+                Some(1.0)
+            } else {
+                transit_nodes[u].then_some(transit)
+            };
+            if let Some(through) = through {
+                let base = f64::from_bits(bits) * through;
+                let from = NodeId::new(u);
+                for &(to, edge) in arcs.arcs_of(u) {
+                    let v = index_usize(to);
+                    if v != dst && !feas.relay_feasible(NodeId::new(v), width) {
+                        continue;
+                    }
+                    if bans.step_banned(from, NodeId::new(v), &hop_banned) {
+                        continue;
+                    }
+                    let nm = base * factors.0[index_usize(edge)];
+                    if !stamps.is_current(v) || nm > dist[v] {
+                        dist[v] = nm;
+                        prev[v] = u;
+                        stamps.mark(v);
+                        relaxations += 1;
+                        key_heap.push(frontier_key(nm, to));
+                    }
+                }
+            }
+            if u == dst {
+                settled = true;
+                break;
+            }
+        }
+        counters.pops.add(pops);
+        counters.relaxations.add(relaxations);
+        if !settled {
+            counters.exhaustions.inc();
+            return None; // frontier exhausted: unreachable
+        }
+        let m = dist[dst];
+        if m <= 0.0 && dest != source {
+            return None;
+        }
+        let path = walk_back(source, dest, prev)?;
+        Some((path, Metric::new(m)))
+    }
+}
+
 /// Hop distances from `source` by breadth-first search; `None` = unreachable.
 ///
 /// # Panics
@@ -1031,6 +1330,74 @@ mod tests {
                 prop_assert_eq!(run.run_to(NodeId::new(t)), fresh.path_to(NodeId::new(t)));
             }
         }
+    }
+
+    #[test]
+    fn frontier_keys_order_like_metric_node_pairs() {
+        let metrics = [
+            0.0,
+            f64::from_bits(1), // smallest subnormal
+            f64::MIN_POSITIVE / 2.0,
+            f64::MIN_POSITIVE, // smallest normal
+            1e-300,
+            0.5,
+            0.5 + f64::EPSILON / 2.0,
+            1.0 - f64::EPSILON / 2.0,
+            1.0,
+        ];
+        let nodes = [0u32, 1, 2, 7, u32::MAX];
+        let entries: Vec<(f64, u32)> = metrics
+            .iter()
+            .flat_map(|&m| nodes.iter().map(move |&v| (m, v)))
+            .collect();
+        for &(ma, va) in &entries {
+            let key = frontier_key(ma, va);
+            assert_eq!(split_key(key), (ma.to_bits(), index_usize(va)));
+            let tuple_a = (Metric::new(ma), NodeId::new(index_usize(va)));
+            for &(mb, vb) in &entries {
+                let tuple_b = (Metric::new(mb), NodeId::new(index_usize(vb)));
+                assert_eq!(
+                    key.cmp(&frontier_key(mb, vb)),
+                    tuple_a.cmp(&tuple_b),
+                    "({ma:e}, {va}) vs ({mb:e}, {vb})"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn frontier_key_rejects_negative_zero() {
+        let _ = frontier_key(-0.0, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "edge factor must be in (0,1]")]
+    fn edge_factors_reject_zero() {
+        let _: EdgeFactors = [0.5, 0.0].into_iter().collect();
+    }
+
+    #[test]
+    fn arc_view_keeps_incident_edge_order() {
+        // Parallel edges and a self-loop keep their adjacency order.
+        let mut g: UnGraph<(), ()> = UnGraph::new();
+        let a = g.add_node(());
+        let b = g.add_node(());
+        let c = g.add_node(());
+        g.add_edge(a, b, ());
+        g.add_edge(c, a, ());
+        g.add_edge(a, a, ());
+        g.add_edge(b, a, ());
+        let view = ArcView::new(&g);
+        assert_eq!(view.node_count(), 3);
+        for u in g.node_ids() {
+            let expected: Vec<(u32, u32)> = g
+                .incident_edges(u)
+                .map(|e| (index_u32(e.other(u).index()), index_u32(e.id.index())))
+                .collect();
+            assert_eq!(view.arcs_of(u.index()), expected.as_slice());
+        }
+        assert_eq!(view.arcs_of(a.index()), &[(1, 0), (2, 1), (0, 2), (1, 3)]);
     }
 
     #[test]

@@ -261,6 +261,21 @@ impl BanMask {
     pub fn hop_marked(&self, u: NodeId, v: NodeId) -> bool {
         self.hop_ends.is_current(u.index()) && self.hop_ends.is_current(v.index())
     }
+
+    /// `true` if a search may not step from `from` into `to`: `to` is
+    /// banned, or `{from, to}` is a banned hop. One compare decides a
+    /// node ban; `hop_banned(from, to)`, the caller's exact hop lookup,
+    /// runs only when both endpoints carry a hop mark.
+    #[inline]
+    #[must_use]
+    pub fn step_banned(
+        &self,
+        from: NodeId,
+        to: NodeId,
+        hop_banned: impl FnOnce(NodeId, NodeId) -> bool,
+    ) -> bool {
+        self.node_banned(to) || (self.hop_marked(from, to) && hop_banned(from, to))
+    }
 }
 
 #[cfg(test)]

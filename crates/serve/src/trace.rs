@@ -81,8 +81,10 @@ impl TraceConfig {
             ));
         }
         if self.user_pool == 1 {
-            return Err("user pool of 1 cannot form demand pairs (use 0 for all users, or >= 2)"
-                .to_string());
+            return Err(
+                "user pool of 1 cannot form demand pairs (use 0 for all users, or >= 2)"
+                    .to_string(),
+            );
         }
         Ok(())
     }
@@ -348,13 +350,55 @@ mod tests {
         assert_eq!(base.validate(), Ok(()));
 
         let cases: [(TraceConfig, &str); 7] = [
-            (TraceConfig { arrival_rate: 0.0, ..base }, "arrival rate"),
-            (TraceConfig { arrival_rate: f64::NAN, ..base }, "arrival rate"),
-            (TraceConfig { arrival_rate: f64::INFINITY, ..base }, "arrival rate"),
-            (TraceConfig { mean_holding: 0.0, ..base }, "mean holding"),
-            (TraceConfig { mean_holding: -3.0, ..base }, "mean holding"),
-            (TraceConfig { link_down_rate: -0.5, ..base }, "link-down rate"),
-            (TraceConfig { user_pool: 1, ..base }, "user pool"),
+            (
+                TraceConfig {
+                    arrival_rate: 0.0,
+                    ..base
+                },
+                "arrival rate",
+            ),
+            (
+                TraceConfig {
+                    arrival_rate: f64::NAN,
+                    ..base
+                },
+                "arrival rate",
+            ),
+            (
+                TraceConfig {
+                    arrival_rate: f64::INFINITY,
+                    ..base
+                },
+                "arrival rate",
+            ),
+            (
+                TraceConfig {
+                    mean_holding: 0.0,
+                    ..base
+                },
+                "mean holding",
+            ),
+            (
+                TraceConfig {
+                    mean_holding: -3.0,
+                    ..base
+                },
+                "mean holding",
+            ),
+            (
+                TraceConfig {
+                    link_down_rate: -0.5,
+                    ..base
+                },
+                "link-down rate",
+            ),
+            (
+                TraceConfig {
+                    user_pool: 1,
+                    ..base
+                },
+                "user pool",
+            ),
         ];
         for (config, knob) in cases {
             let err = config.validate().expect_err(knob);
@@ -377,7 +421,10 @@ mod tests {
         assert_eq!(all.validate(), Ok(()));
         assert_eq!(generate(&net, &all), generate(&net, &all));
 
-        let pool = TraceConfig { user_pool: 2, ..all };
+        let pool = TraceConfig {
+            user_pool: 2,
+            ..all
+        };
         assert_eq!(pool.validate(), Ok(()));
         let trace = generate(&net, &pool);
         assert_eq!(trace, generate(&net, &pool));
