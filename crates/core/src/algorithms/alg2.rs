@@ -26,9 +26,10 @@
 //! * reuses one [`SearchScratch`] arena and per-width channel-success
 //!   tables (`1 - (1 - p_e)^w` per edge, computed once per width, not
 //!   once per relaxation);
-//! * stamps each search's Yen bans once into a reused [`BanMask`], so
-//!   the ban check on every relaxed edge is an array compare instead of
-//!   two hash lookups.
+//! * stamps each search's Yen bans once into a reused [`BanMask`]: the
+//!   banned nodes as a list the kernel turns into labels, and hop marks
+//!   that settle most edges with an array compare instead of a hash
+//!   lookup.
 //!
 //! All four are result-preserving: the settle order, tie-breaking, and
 //! `f64` arithmetic are exactly those of the per-width sweep, so the
@@ -45,18 +46,32 @@
 //! performs the same relaxations as the generic
 //! `max_product_resume(..).run_to(dest)` with this module's edge and
 //! transit rules, so every path, `f64` metric and `alg2.search.*` counter
-//! is unchanged. It saves time per pop and per relaxation, not pops:
+//! is unchanged. It saves time per pop and per arc visit, not pops:
 //!
 //! * its heap holds packed `u128` keys, the metric's bits above the node
 //!   index. For finite metrics `>= +0.0` the bits read as an integer grow
 //!   with the value, so the integer order is the `(Metric, NodeId)`
 //!   order, ties included, and each push asserts that condition;
-//! * it walks the network's [`ArcView`] (`(neighbour, edge)` `u32` pairs
-//!   in `incident_edges` order), built once per network in
-//!   `DescentContext` like the channel tables;
+//! * it walks one [`WidthArcs`] list per (demand, width) slice. The
+//!   slice's first search that gets past the endpoint, ban and
+//!   reachability early-outs builds it from the network's [`ArcView`]
+//!   (built once per network in `DescentContext`, like the channel
+//!   tables): per node, the arcs whose head can relay the width or is the
+//!   demand's destination, with the width's channel factor copied in, in
+//!   `incident_edges` order. The relay gate depends only on the head, the
+//!   width and the destination, so applying it once per slice drops
+//!   exactly the arcs each search would skip and keeps the rest in order:
+//!   every relaxation, parallel edges included, is unchanged. One buffer
+//!   in `DescentState` is rebuilt in place for every slice, so widths the
+//!   reach view skips, and arrivals rejected before any search, build
+//!   nothing;
+//! * banned nodes are labels: before each search the kernel labels them
+//!   above every metric (metrics never exceed 1) and stamps them
+//!   current, so its `nm > dist[v]` test rejects them exactly where a ban
+//!   check would, without a per-arc ban load. Pre-labels are not
+//!   relaxations and banned nodes are never pushed, so the counts stay;
 //! * channel rows are checked in `(0, 1]` once, when built, and `q` once
-//!   per search; bans, the relay gate (destination exempt) and switch
-//!   flags are read inline.
+//!   per search; hop marks and switch flags are read inline.
 //!
 //! `crates/graph/tests/width_search_oracle.rs` holds the kernel to the
 //! generic run, counts included.
@@ -65,7 +80,7 @@ use std::collections::HashSet;
 
 use fusion_graph::{
     ArcView, BanMask, DescentReach, EdgeFactors, Metric, NodeId, Path, SearchCounters,
-    SearchScratch, WidthFeasibility, WidthSearch,
+    SearchScratch, WidthArcs, WidthFeasibility, WidthSearch,
 };
 use fusion_telemetry::{Counter, Registry};
 
@@ -261,7 +276,8 @@ pub fn paths_selection_parallel_counted(
 /// Read-only width-descent context shared by every demand (and every
 /// worker): the width-indexed feasibility view over the caller's capacity
 /// vector, per-width channel-success tables, and the network's arc view
-/// and switch flags for the [`WidthSearch`] kernel.
+/// and switch flags, from which each slice's [`WidthArcs`] and
+/// [`WidthSearch`] are set up.
 #[derive(Debug, Clone, Default)]
 struct DescentContext {
     feas: WidthFeasibility,
@@ -270,7 +286,8 @@ struct DescentContext {
     /// lie in `(0, 1]`) once per (width, edge) instead of once per
     /// relaxation.
     channel: Vec<EdgeFactors>,
-    /// The network graph's arcs, in `incident_edges` order.
+    /// The network graph's arcs, in `incident_edges` order: the source
+    /// of every slice's arc list.
     arcs: ArcView,
     /// `switches[v] = net.is_switch(v)`: the nodes a path may pass
     /// through.
@@ -350,6 +367,11 @@ impl SelectionCounters {
 struct DescentState {
     scratch: SearchScratch,
     reach: DescentReach,
+    /// The current width slice's arc list: one buffer, rebuilt on each
+    /// slice's first search and reused across slices, demands and calls.
+    slice_arcs: WidthArcs,
+    /// `true` once `slice_arcs` holds the current slice's list.
+    slice_built: bool,
     /// The current search's bans, stamped from its [`PathConstraints`].
     bans: BanMask,
     counters: SelectionCounters,
@@ -366,6 +388,8 @@ impl DescentState {
         DescentState {
             scratch,
             reach: DescentReach::new(),
+            slice_arcs: WidthArcs::new(),
+            slice_built: false,
             bans: BanMask::new(),
             counters: SelectionCounters::from_registry(registry),
         }
@@ -409,6 +433,7 @@ fn width_candidates(
     state: &mut DescentState,
 ) -> Vec<CandidatePath> {
     state.counters.widths_searched.inc();
+    state.slice_built = false;
     k_best_paths_descent(net, demand, h, width, ctx, state)
         .into_iter()
         .filter_map(|path| {
@@ -462,10 +487,10 @@ fn stamp_bans(bans: &mut BanMask, constraints: &PathConstraints, n: usize) {
 /// encodes them — `endpoint_feasible` is `capacity >= w`,
 /// `relay_feasible` is "switch with `capacity >= 2w`"), but the search
 /// runs on the [`WidthSearch`] kernel — goal-directed (it stops when the
-/// destination settles), over the context's arc view and per-width
-/// channel table, with bans read from the stamped [`BanMask`] — and is
-/// skipped outright when the reachability view certifies it cannot
-/// succeed.
+/// destination settles), over the slice's [`WidthArcs`], built on the
+/// slice's first search that gets past the early-outs, with bans from
+/// the stamped [`BanMask`] — and is skipped outright when the
+/// reachability view certifies it cannot succeed.
 fn descent_search(
     net: &QuantumNetwork,
     source: NodeId,
@@ -482,6 +507,8 @@ fn descent_search(
     let DescentState {
         scratch,
         reach,
+        slice_arcs,
+        slice_built,
         bans,
         counters,
     } = state;
@@ -489,8 +516,7 @@ fn descent_search(
     if !ctx.feas.endpoint_feasible(source, width) || !ctx.feas.endpoint_feasible(dest, width) {
         return None;
     }
-    stamp_bans(bans, constraints, net.node_count());
-    if bans.node_banned(source) || bans.node_banned(dest) {
+    if constraints.banned_nodes.contains(&source) || constraints.banned_nodes.contains(&dest) {
         return None;
     }
     // Monotone-feasibility certificate: banned nodes and hops only shrink
@@ -502,17 +528,25 @@ fn descent_search(
     }
 
     // Entering a node as an intermediate pins 2w qubits there; only the
-    // destination gets away with w (paper line 9), which is the kernel's
-    // relay gate. Transit through a switch costs one fusion, at `q`;
-    // users never relay.
+    // destination gets away with w (paper line 9), which is the slice
+    // list's relay gate. Transit through a switch costs one fusion, at
+    // `q`; users never relay.
+    if !*slice_built {
+        slice_arcs.build(
+            &ctx.arcs,
+            &ctx.channel[(width - 1) as usize],
+            &ctx.feas,
+            width,
+            dest,
+        );
+        *slice_built = true;
+    }
+    stamp_bans(bans, constraints, net.node_count());
     WidthSearch {
-        arcs: &ctx.arcs,
-        factors: &ctx.channel[(width - 1) as usize],
+        arcs: slice_arcs,
         transit_nodes: &ctx.switches,
         transit: net.swap_success(),
-        feas: &ctx.feas,
-        width,
-        bans: &*bans,
+        bans,
     }
     .run_to(scratch, source, dest, |from, to| {
         constraints.hop_banned(from, to)
@@ -1136,6 +1170,20 @@ mod tests {
             pops1 - pops0,
             "skipped widths must add no pops to the width-1 searches"
         );
+
+        // Width-1 calls search the same (width, destination) slice each
+        // time, yet each must rebuild its arc list: with `a` dry, route A
+        // is gone from the answer.
+        let mut no_a = caps.clone();
+        no_a[n[2].index()] = 0;
+        let w1 = SelectionQuery { max_width: 1, ..q };
+        for caps in [&caps, &no_a, &caps] {
+            assert_eq!(
+                engine.select_demand(&net, &demand, caps, w1),
+                batch(caps, 1)
+            );
+        }
+        assert_ne!(batch(&no_a, 1), batch(&caps, 1));
     }
 
     #[test]
@@ -1214,10 +1262,10 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// One ban mask, reused across many random ban sets, must answer
-        /// every `(from, to)` step exactly as the `PathConstraints` hash
-        /// sets do, so no mark from an earlier search leaks into a later
-        /// one.
+        /// One ban mask, reused across many random ban sets, must hold
+        /// exactly each set's banned nodes and mark exactly the
+        /// endpoints of its banned hops, so no mark from an earlier
+        /// search leaks into a later one.
         #[test]
         fn reused_ban_mask_matches_constraint_sets(
             sets in proptest::collection::vec(
@@ -1239,21 +1287,11 @@ mod tests {
                     cons.ban_hop(NodeId::new(u), NodeId::new(v));
                 }
                 stamp_bans(&mut bans, &cons, n);
-                for from in (0..n).map(NodeId::new) {
-                    proptest::prop_assert_eq!(
-                        bans.node_banned(from),
-                        cons.banned_nodes.contains(&from)
-                    );
-                    for to in (0..n).map(NodeId::new) {
-                        let exact = cons.banned_nodes.contains(&to) || cons.hop_banned(from, to);
-                        proptest::prop_assert_eq!(
-                            bans.step_banned(from, to, |u, v| cons.hop_banned(u, v)),
-                            exact,
-                            "step {:?} -> {:?}",
-                            from,
-                            to
-                        );
-                    }
+                let stamped: HashSet<NodeId> = bans.banned_nodes().iter().copied().collect();
+                proptest::prop_assert_eq!(&stamped, &cons.banned_nodes);
+                for v in (0..n).map(NodeId::new) {
+                    let ends_a_hop = cons.banned_hops.iter().any(|&(a, b)| a == v || b == v);
+                    proptest::prop_assert_eq!(bans.hop_end(v), ends_a_hop, "hop mark on {:?}", v);
                 }
             }
         }

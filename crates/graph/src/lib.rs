@@ -46,16 +46,14 @@ mod path;
 mod stamps;
 mod unionfind;
 
-pub mod certificate;
 pub mod feasibility;
 pub mod search;
 pub mod yen;
 
-pub use certificate::{CertEntry, CertificateRecorder};
 pub use feasibility::{DescentReach, WidthFeasibility};
 pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};
 pub use metric::Metric;
 pub use path::{Path, PathError};
-pub use search::{ArcView, EdgeFactors, SearchCounters, SearchScratch, WidthSearch};
-pub use stamps::{BanMask, RecordedSet};
+pub use search::{ArcView, EdgeFactors, SearchCounters, SearchScratch, WidthArcs, WidthSearch};
+pub use stamps::BanMask;
 pub use unionfind::{DisjointSets, GenerationalDisjointSets};

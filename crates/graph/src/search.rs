@@ -9,8 +9,8 @@
 //!
 //! [`WidthSearch`] is the flat kernel every Algorithm 2 search runs on:
 //! the goal-directed [`max_product_resume`] run specialised to one
-//! width's feasibility rules over an [`ArcView`], counting the same pops
-//! and relaxations in the same order.
+//! width's feasibility rules over that width slice's [`WidthArcs`],
+//! counting the same pops and relaxations in the same order.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -670,10 +670,11 @@ where
     }
 }
 
-/// Flat per-graph adjacency for [`WidthSearch`]: each node's
-/// `(neighbour, edge)` arcs as `u32` pairs, in
-/// [`UnGraph::incident_edges`] order, so a search over the view meets
-/// edges — and breaks ties — exactly as a search over the graph does.
+/// Flat per-graph adjacency that [`WidthArcs`] are built from: each
+/// node's `(neighbour, edge)` arcs as `u32` pairs, in
+/// [`UnGraph::incident_edges`] order, so a search over a list built from
+/// the view meets edges — and breaks ties — exactly as a search over the
+/// graph does.
 ///
 /// The view depends only on the graph's structure: build it once per
 /// graph and keep it.
@@ -737,9 +738,9 @@ fn index_usize(i: u32) -> usize {
     usize::try_from(i).expect("u32 index must fit in usize")
 }
 
-/// Per-edge success factors for [`WidthSearch`], by edge id. Each factor
-/// is checked to lie in `(0, 1]` once, when the row is collected, so the
-/// search does not re-check it on every relaxation.
+/// Per-edge success factors that [`WidthArcs`] copy in, by edge id. Each
+/// factor is checked to lie in `(0, 1]` once, when the row is collected,
+/// so the search does not re-check it on every relaxation.
 ///
 /// # Panics
 ///
@@ -786,18 +787,116 @@ fn split_key(key: u128) -> (u64, usize) {
     (bits, index_usize(node))
 }
 
+/// One width slice's arcs for [`WidthSearch`]: each node's arcs whose
+/// head may be entered at the slice's width (it can relay the width, or
+/// it is the slice's destination), as `(head, factor)` pairs with that
+/// width's channel factor copied in, in [`ArcView`] (`incident_edges`)
+/// order.
+///
+/// Algorithm 2's relay gate depends only on an arc's head, the width and
+/// the destination, so the list applies it once per slice instead of once
+/// per arc visit in every search of the slice. It drops only arcs the
+/// gate rejects and keeps the rest in order, so a search over the list
+/// relaxes exactly what a gated search over the whole view relaxes,
+/// parallel edges included.
+///
+/// Keep one list and rebuild it in place for each slice: the buffers
+/// keep their capacity, so a rebuild allocates nothing once warm.
+#[derive(Debug, Clone, Default)]
+pub struct WidthArcs {
+    /// Node `u`'s kept arcs are `arcs[start[u]..start[u + 1]]`.
+    start: Vec<usize>,
+    /// `(head, factor)` per kept arc, then leftovers of the build past
+    /// `start[n]`; sized to the view's arc count.
+    arcs: Vec<(u32, f64)>,
+    /// The destination the list was built for; `None` before the first
+    /// build.
+    dest: Option<NodeId>,
+}
+
+impl WidthArcs {
+    /// An empty list; [`build`](WidthArcs::build) fills it.
+    #[must_use]
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the list for the slice of width `width` toward `dest`:
+    /// node `u` keeps its arc to `v` when `v == dest` or `feas` lets `v`
+    /// relay `width`, with factor `factors[edge]`. O(arcs of `view`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `feas` covers fewer nodes than `view`, if `factors`
+    /// covers fewer edges, or if `dest` is not a node of `view`.
+    pub fn build(
+        &mut self,
+        view: &ArcView,
+        factors: &EdgeFactors,
+        feas: &WidthFeasibility,
+        width: u32,
+        dest: NodeId,
+    ) {
+        let n = view.node_count();
+        assert!(feas.len() >= n, "feasibility must cover every node");
+        assert!(
+            factors.0.len() >= view.edges,
+            "edge factors must cover every edge"
+        );
+        assert!(
+            dest.index() < n,
+            "the destination must be a node of the view"
+        );
+        // Stream compaction: every arc is written at the cursor, and the
+        // cursor moves past it only if the arc is kept. Whether an arc is
+        // kept follows the capacities, not a pattern a branch predictor
+        // learns, so the build takes no branch on it.
+        self.start.resize(n + 1, 0);
+        self.arcs.resize(view.arcs.len(), (0, 0.0));
+        let mut kept = 0;
+        for u in 0..n {
+            self.start[u] = kept;
+            for &(to, edge) in view.arcs_of(u) {
+                let v = NodeId::new(index_usize(to));
+                self.arcs[kept] = (to, factors.0[index_usize(edge)]);
+                kept += usize::from((v == dest) | feas.relay_feasible(v, width));
+            }
+        }
+        self.start[n] = kept;
+        self.dest = Some(dest);
+    }
+
+    /// Number of nodes the list covers.
+    fn node_count(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// Node `u`'s kept arcs.
+    #[inline]
+    fn arcs_of(&self, u: usize) -> &[(u32, f64)] {
+        &self.arcs[self.start[u]..self.start[u + 1]]
+    }
+}
+
+/// The label a banned node carries for a whole [`WidthSearch`]: above
+/// every metric (metrics never exceed 1), so no relaxation improves on
+/// it.
+const BANNED_LABEL: f64 = f64::INFINITY;
+
 /// One goal-directed, width-feasible max-product search: the flat kernel
 /// every Algorithm 2 search (first path and Yen spur) runs on.
 ///
-/// [`run_to`](WidthSearch::run_to) computes exactly what the generic run
-/// over the graph that `arcs` views computes:
+/// With `arcs` built by [`WidthArcs::build`]`(view, factors, feas,
+/// width, dest)`, [`run_to`](WidthSearch::run_to) computes exactly what
+/// the generic run over the graph that `view` views computes:
 ///
 /// ```text
 /// max_product_resume(scratch, graph, source,
 ///     |from, e| {
 ///         let to = e.other(from);
 ///         if to != dest && !feas.relay_feasible(to, width) { return None; }
-///         if bans.step_banned(from, to, &hop_banned) { return None; }
+///         if bans.banned_nodes().contains(&to) { return None; }
+///         if hop_banned(from, to) { return None; }
 ///         Some(factors[e.id])
 ///     },
 ///     |via| transit_nodes[via].then_some(transit),
@@ -816,31 +915,35 @@ fn split_key(key: u128) -> (u64, usize) {
 ///   push asserts that condition. A node is re-pushed only with a
 ///   strictly larger metric, so no two entries are equal and both heaps
 ///   pop the same sequence;
-/// * arcs come from the flat [`ArcView`], in `incident_edges` order;
-/// * edge factors are checked once per row ([`EdgeFactors`]) and
-///   `transit` once per search, not once per relaxation;
-/// * the ban mask, the relay gate and the transit flags are read inline,
-///   not through closures;
+/// * arcs come from the slice's [`WidthArcs`], where the relay gate has
+///   already run and the factors sit next to the heads: an arc visit
+///   reads no feasibility, no edge-factor row and no ban stamp;
+/// * banned nodes are labels, not checks: before the source, each one is
+///   labelled above every metric and stamped current, so the label test
+///   `nm > dist[v]` rejects it exactly where a ban check would. Pre-labels
+///   are not relaxations, and banned nodes are never pushed. The source's
+///   own label is written last, so a banned source still expands, as it
+///   does in the generic run;
+/// * a hop ban needs both endpoints hop-marked: the popped node's mark is
+///   read once per pop, the head's mark and `hop_banned` only when it is
+///   set;
+/// * factors are checked once per row ([`EdgeFactors`]) and `transit`
+///   once per search, not once per relaxation;
 /// * counts accumulate locally and reach the counters once per search.
 ///
+/// The tests left per arc (label, hop ban) have no side effects, so their
+/// order does not change what is relaxed.
 /// `crates/graph/tests/width_search_oracle.rs` holds the kernel to the
 /// generic run.
 #[derive(Debug, Clone, Copy)]
 pub struct WidthSearch<'a> {
-    /// The searched graph's arcs.
-    pub arcs: &'a ArcView,
-    /// Success factor of each edge at this width.
-    pub factors: &'a EdgeFactors,
+    /// The searched slice's arcs, built for its width and destination.
+    pub arcs: &'a WidthArcs,
     /// Nodes a path may pass through; each transit multiplies the metric
     /// by `transit`. The source always expands.
     pub transit_nodes: &'a [bool],
     /// The per-transit factor, in `(0, 1]`.
     pub transit: f64,
-    /// Relay thresholds: a node other than the destination is entered
-    /// only if it can relay `width`.
-    pub feas: &'a WidthFeasibility,
-    /// The channel width the relay gate tests.
-    pub width: u32,
     /// The search's banned nodes and hop marks.
     pub bans: &'a BanMask,
 }
@@ -854,9 +957,9 @@ impl WidthSearch<'_> {
     ///
     /// # Panics
     ///
-    /// Panics if `transit` is outside `(0, 1]`, if `transit_nodes`,
-    /// `feas` or `bans` covers fewer nodes than `arcs`, if `factors`
-    /// covers fewer edges, or if `source` or `dest` is out of bounds.
+    /// Panics if `transit` is outside `(0, 1]`, if `arcs` was not built
+    /// for `dest`, if `transit_nodes` covers fewer nodes than `arcs`, or
+    /// if `source` or a banned node is out of bounds.
     pub fn run_to(
         &self,
         scratch: &mut SearchScratch,
@@ -866,28 +969,26 @@ impl WidthSearch<'_> {
     ) -> Option<(Path, Metric)> {
         let WidthSearch {
             arcs,
-            factors,
             transit_nodes,
             transit,
-            feas,
-            width,
             bans,
         } = *self;
         assert!(
             transit > 0.0 && transit <= 1.0,
             "transit factor must be in (0,1], got {transit}"
         );
+        assert_eq!(
+            arcs.dest,
+            Some(dest),
+            "the arc list must be built for the searched destination"
+        );
         let n = arcs.node_count();
         assert!(
-            transit_nodes.len() >= n && feas.len() >= n,
-            "transit flags and feasibility must cover every node"
-        );
-        assert!(
-            factors.0.len() >= arcs.edges,
-            "edge factors must cover every edge"
+            transit_nodes.len() >= n,
+            "transit flags must cover every node"
         );
         let (src, dst) = (source.index(), dest.index());
-        assert!(src < n && dst < n, "endpoints must be nodes of the view");
+        assert!(src < n, "the source must be a node of the arc list");
 
         scratch.begin(n);
         let SearchScratch {
@@ -898,6 +999,12 @@ impl WidthSearch<'_> {
             counters,
             ..
         } = scratch;
+        for &v in bans.banned_nodes() {
+            let v = v.index();
+            assert!(v < n, "banned node {v} is out of bounds");
+            dist[v] = BANNED_LABEL;
+            stamps.mark(v);
+        }
         dist[src] = 1.0;
         prev[src] = NO_PREV;
         stamps.mark(src);
@@ -920,16 +1027,15 @@ impl WidthSearch<'_> {
             if let Some(through) = through {
                 let base = f64::from_bits(bits) * through;
                 let from = NodeId::new(u);
-                for &(to, edge) in arcs.arcs_of(u) {
+                let from_hop_end = bans.hop_end(from);
+                for &(to, factor) in arcs.arcs_of(u) {
                     let v = index_usize(to);
-                    if v != dst && !feas.relay_feasible(NodeId::new(v), width) {
-                        continue;
-                    }
-                    if bans.step_banned(from, NodeId::new(v), &hop_banned) {
-                        continue;
-                    }
-                    let nm = base * factors.0[index_usize(edge)];
-                    if !stamps.is_current(v) || nm > dist[v] {
+                    let nm = base * factor;
+                    if (!stamps.is_current(v) || nm > dist[v])
+                        && !(from_hop_end
+                            && bans.hop_end(NodeId::new(v))
+                            && hop_banned(from, NodeId::new(v)))
+                    {
                         dist[v] = nm;
                         prev[v] = u;
                         stamps.mark(v);

@@ -117,97 +117,18 @@ impl StampedSet {
     }
 }
 
-/// A `StampedSet` that also records its members, so the set can be
-/// enumerated after a run.
+/// One constrained search's bans: the banned nodes as a list, and a mark
+/// on both endpoints of every banned hop, so an edge whose endpoints are
+/// not both marked is known to be allowed without looking the hop up.
 ///
-/// This is the *footprint-recording* idiom: a hot loop inserts every key
-/// it touches (O(1), no hashing), and afterwards the member list *is* the
-/// read set — e.g. the nodes whose feasibility a width-descent search
-/// read, which [`CertificateRecorder`](crate::certificate::CertificateRecorder)
-/// keeps per feasibility kind (see `docs/ARCHITECTURE.md`, "the
-/// generation discipline").
-///
-/// `clear` is O(previous members) but allocation-free after warmup;
-/// `insert` and `contains` are O(1).
-#[derive(Debug, Clone, Default)]
-pub struct RecordedSet {
-    set: StampedSet,
-    members: Vec<usize>,
-}
-
-impl RecordedSet {
-    /// Creates an empty, reusable set.
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties the set and grows it to cover keys `0..n`.
-    pub fn clear(&mut self, n: usize) {
-        self.set.clear(n);
-        self.members.clear();
-    }
-
-    /// Inserts `key`; returns `true` if it was not yet present.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the range covered by the last
-    /// [`clear`](RecordedSet::clear).
-    #[inline]
-    pub fn insert(&mut self, key: usize) -> bool {
-        if self.set.insert(key) {
-            self.members.push(key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// `true` if `key` was inserted since the last clear.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is outside the range covered by the last
-    /// [`clear`](RecordedSet::clear).
-    #[inline]
-    #[must_use]
-    pub fn contains(&self, key: usize) -> bool {
-        self.set.contains(key)
-    }
-
-    /// The inserted keys, in insertion order.
-    #[must_use]
-    pub fn members(&self) -> &[usize] {
-        &self.members
-    }
-
-    /// Number of distinct keys inserted since the last clear.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// `true` if nothing was inserted since the last clear.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-}
-
-/// Per-node ban marks for one constrained search: a banned node is one
-/// stamp compare, and a banned hop marks both of its endpoints, so an edge
-/// whose endpoints are not both marked is known to be allowed without
-/// looking the hop up.
-///
-/// Yen spur searches evaluate their bans on every relaxed edge. Stamping
-/// a search's bans once, in O(bans), turns those per-edge checks into
-/// array compares; only an edge between two hop-marked nodes needs the
-/// caller's exact hop lookup. [`begin`](BanMask::begin) empties the mask
-/// in O(1).
+/// Yen spur searches carry their bans on every search.
+/// [`WidthSearch`](crate::search::WidthSearch) turns the node list into
+/// labels once per search and reads the hop marks per arc; only an edge
+/// between two hop-marked nodes needs the caller's exact hop lookup.
+/// [`begin`](BanMask::begin) empties the mask in O(previous node bans).
 #[derive(Debug, Clone, Default)]
 pub struct BanMask {
-    nodes: GenerationStamps,
+    nodes: Vec<NodeId>,
     hop_ends: GenerationStamps,
 }
 
@@ -220,18 +141,13 @@ impl BanMask {
 
     /// Empties the mask and grows it to cover nodes `0..n`.
     pub fn begin(&mut self, n: usize) {
-        self.nodes.advance(n);
+        self.nodes.clear();
         self.hop_ends.advance(n);
     }
 
-    /// Bans `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the range covered by the last
-    /// [`begin`](BanMask::begin).
+    /// Bans `node`. A search panics on a banned node outside its graph.
     pub fn ban_node(&mut self, node: NodeId) {
-        self.nodes.mark(node.index());
+        self.nodes.push(node);
     }
 
     /// Marks both endpoints of a banned hop `{u, v}`.
@@ -245,36 +161,25 @@ impl BanMask {
         self.hop_ends.mark(v.index());
     }
 
-    /// `true` if `node` was banned since the last
+    /// The nodes banned since the last [`begin`](BanMask::begin), in ban
+    /// order.
+    #[must_use]
+    pub fn banned_nodes(&self) -> &[NodeId] {
+        &self.nodes
+    }
+
+    /// `true` if `node` ends a hop marked since the last
+    /// [`begin`](BanMask::begin). A hop `{u, v}` *may* be banned only if
+    /// both `u` and `v` end a marked hop; otherwise it is known allowed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the range covered by the last
     /// [`begin`](BanMask::begin).
     #[inline]
     #[must_use]
-    pub fn node_banned(&self, node: NodeId) -> bool {
-        self.nodes.is_current(node.index())
-    }
-
-    /// `true` if both `u` and `v` end a marked hop, so `{u, v}` *may* be
-    /// banned and the caller must check it exactly; `false` proves the
-    /// hop is not banned.
-    #[inline]
-    #[must_use]
-    pub fn hop_marked(&self, u: NodeId, v: NodeId) -> bool {
-        self.hop_ends.is_current(u.index()) && self.hop_ends.is_current(v.index())
-    }
-
-    /// `true` if a search may not step from `from` into `to`: `to` is
-    /// banned, or `{from, to}` is a banned hop. One compare decides a
-    /// node ban; `hop_banned(from, to)`, the caller's exact hop lookup,
-    /// runs only when both endpoints carry a hop mark.
-    #[inline]
-    #[must_use]
-    pub fn step_banned(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        hop_banned: impl FnOnce(NodeId, NodeId) -> bool,
-    ) -> bool {
-        self.node_banned(to) || (self.hop_marked(from, to) && hop_banned(from, to))
+    pub fn hop_end(&self, node: NodeId) -> bool {
+        self.hop_ends.is_current(node.index())
     }
 }
 
@@ -338,19 +243,19 @@ mod tests {
         let [a, b, c] = [0, 1, 2].map(NodeId::new);
         let mut m = BanMask::new();
         m.begin(3);
-        m.nodes.generation = u32::MAX;
         m.hop_ends.generation = u32::MAX;
-        m.ban_node(a); // stamped u32::MAX
-        m.mark_hop(b, c);
-        assert!(m.node_banned(a) && m.hop_marked(b, c));
-        m.begin(3); // wraps: both stamp buffers fill(0), generation = 1
+        m.ban_node(a);
+        m.mark_hop(b, c); // stamped u32::MAX
+        assert_eq!(m.banned_nodes(), &[a]);
+        assert!(m.hop_end(b) && m.hop_end(c));
+        m.begin(3); // wraps: the stamp buffer fills 0, generation = 1
+        assert!(m.banned_nodes().is_empty(), "begin must clear node bans");
         for v in [a, b, c] {
-            assert!(!m.node_banned(v), "wrap must clear node bans");
+            assert!(!m.hop_end(v), "wrap must clear hop marks");
         }
-        assert!(!m.hop_marked(b, c), "wrap must clear hop marks");
         m.ban_node(c);
         m.mark_hop(a, b);
-        assert!(m.node_banned(c) && !m.node_banned(a));
-        assert!(m.hop_marked(a, b) && !m.hop_marked(b, c));
+        assert_eq!(m.banned_nodes(), &[c]);
+        assert!(m.hop_end(a) && m.hop_end(b) && !m.hop_end(c));
     }
 }

@@ -9,16 +9,19 @@
 //!
 //! The generic side is written against plain hash sets and a raw relay
 //! vector, so it shares neither the kernel's ban mask nor its
-//! feasibility view. Every case runs several queries through one reused
-//! scratch per side, so a label left behind by an earlier query would
-//! show up as a difference. The cases cover:
+//! feasibility view nor its arc list. Every case runs several queries
+//! through one reused scratch per side, and the kernel side through one
+//! reused [`WidthArcs`] buffer rebuilt for each query's own width and
+//! destination, so a label or a list left behind by an earlier query
+//! would show up as a difference. The cases cover:
 //!
 //! * random multigraphs with parallel edges and self-loops, and factors
 //!   that tie exactly, round, reach subnormal metrics and underflow to 0;
 //! * uniform-factor grids, where whole rectangles of paths tie exactly
 //!   and only the heap's node tie-break picks the path;
-//! * random node and hop bans, random relay widths and transit flags, and
-//!   a destination that is often not relay-feasible (the exemption).
+//! * random node and hop bans, banned sources and banned destinations,
+//!   random relay widths, per-query widths and transit flags, and a
+//!   destination that is often not relay-feasible (the exemption).
 //!
 //! The reduced grids run in tier-1; the wide grids (`--ignored`) cover
 //! larger graphs and more cases:
@@ -31,7 +34,7 @@ use std::collections::HashSet;
 
 use fusion_graph::search::max_product_resume;
 use fusion_graph::{
-    ArcView, BanMask, EdgeFactors, NodeId, SearchCounters, SearchScratch, UnGraph,
+    ArcView, BanMask, EdgeFactors, NodeId, SearchCounters, SearchScratch, UnGraph, WidthArcs,
     WidthFeasibility, WidthSearch,
 };
 use fusion_telemetry::Registry;
@@ -46,9 +49,10 @@ const FACTORS: [f64; 7] = [1.0, 0.5, 0.25, 0.9, 0.3, 0.7, 1e-170];
 /// Per-transit factors.
 const TRANSITS: [f64; 3] = [1.0, 0.5, 0.9];
 
-/// One search query: source, destination, banned nodes, and banned hops
-/// given as indices into the graph's edge list.
-type Query = (usize, usize, Vec<usize>, Vec<usize>);
+/// One search query: source, destination, width, banned nodes, banned
+/// hops given as indices into the graph's edge list, and whether the
+/// source and the destination are banned too.
+type Query = (usize, usize, u32, Vec<usize>, Vec<usize>, (bool, bool));
 
 /// A graph with everything a width search reads besides its query.
 struct Instance {
@@ -56,7 +60,6 @@ struct Instance {
     relay: Vec<u32>,
     transit_nodes: Vec<bool>,
     transit: f64,
-    width: u32,
 }
 
 /// Normalized undirected hop key.
@@ -93,11 +96,21 @@ fn check_queries(inst: &Instance, queries: &[Query]) -> Result<(), TestCaseError
     }
     let (mut kernel_scratch, kernel_counts) = counted_scratch();
     let (mut generic_scratch, generic_counts) = counted_scratch();
+    let mut slice = WidthArcs::new();
     let mut bans = BanMask::new();
 
-    for (qi, (source, dest, banned, hops)) in queries.iter().enumerate() {
-        let (source, dest) = (NodeId::new(source % n), NodeId::new(dest % n));
-        let banned_nodes: HashSet<NodeId> = banned.iter().map(|&v| NodeId::new(v % n)).collect();
+    for (qi, (source, dest, width, banned, hops, (ban_source, ban_dest))) in
+        queries.iter().enumerate()
+    {
+        let (source, dest, width) = (NodeId::new(source % n), NodeId::new(dest % n), *width);
+        let mut banned_nodes: HashSet<NodeId> =
+            banned.iter().map(|&v| NodeId::new(v % n)).collect();
+        if *ban_source {
+            banned_nodes.insert(source);
+        }
+        if *ban_dest {
+            banned_nodes.insert(dest);
+        }
         let banned_hops: HashSet<(NodeId, NodeId)> = if edges.is_empty() {
             HashSet::new()
         } else {
@@ -116,14 +129,13 @@ fn check_queries(inst: &Instance, queries: &[Query]) -> Result<(), TestCaseError
             bans.mark_hop(u, v);
         }
 
+        slice.build(&arcs, &factors, &feas, width, dest);
+
         let before = (counts(&kernel_counts), counts(&generic_counts));
         let kernel = WidthSearch {
-            arcs: &arcs,
-            factors: &factors,
+            arcs: &slice,
             transit_nodes: &inst.transit_nodes,
             transit: inst.transit,
-            feas: &feas,
-            width: inst.width,
             bans: &bans,
         }
         .run_to(&mut kernel_scratch, source, dest, |u, v| {
@@ -138,7 +150,7 @@ fn check_queries(inst: &Instance, queries: &[Query]) -> Result<(), TestCaseError
                 if banned_nodes.contains(&to) || banned_hops.contains(&hop_key(from, to)) {
                     return None;
                 }
-                if to != dest && inst.relay[to.index()] < inst.width {
+                if to != dest && inst.relay[to.index()] < width {
                     return None;
                 }
                 Some(*e.weight)
@@ -178,7 +190,6 @@ fn random_instance(
     relay: Vec<u32>,
     transit_nodes: Vec<bool>,
     transit: usize,
-    width: u32,
 ) -> Instance {
     let mut graph = UnGraph::new();
     for _ in 0..n {
@@ -192,7 +203,6 @@ fn random_instance(
         relay: relay.into_iter().cycle().take(n).collect(),
         transit_nodes: transit_nodes.into_iter().cycle().take(n).collect(),
         transit: TRANSITS[transit],
-        width,
     }
 }
 
@@ -203,7 +213,6 @@ fn grid_instance(
     factor: f64,
     relay: Vec<u32>,
     transit: usize,
-    width: u32,
 ) -> Instance {
     let mut graph = UnGraph::new();
     for _ in 0..rows * cols {
@@ -226,19 +235,21 @@ fn grid_instance(
         relay: relay.into_iter().cycle().take(n).collect(),
         transit_nodes: vec![true; n],
         transit: TRANSITS[transit],
-        width,
     }
 }
 
-/// Query strategy over node indices below `n` and up to `bans` bans of
-/// each kind.
-fn queries(n: usize, bans: usize) -> impl Strategy<Value = Vec<Query>> {
+/// Query strategy over node indices below `n`, widths below `widths`,
+/// up to `bans` bans of each kind, and a banned source or destination in
+/// about one query in five each.
+fn queries(n: usize, widths: u32, bans: usize) -> impl Strategy<Value = Vec<Query>> {
     proptest::collection::vec(
         (
             0..n,
             0..n,
+            1..widths,
             proptest::collection::vec(0..n, 0..bans),
             proptest::collection::vec(0usize..256, 0..bans),
+            (0u8..5, 0u8..5).prop_map(|(s, d)| (s == 0, d == 0)),
         ),
         1..6,
     )
@@ -261,10 +272,10 @@ proptest! {
         edges in proptest::collection::vec((0usize..10, 0usize..10, 0..FACTORS.len()), 0..30),
         relay in relays(10),
         transit_nodes in proptest::collection::vec(proptest::bool::ANY, 10),
-        (transit, width) in (0..TRANSITS.len(), 1u32..4),
-        qs in queries(10, 4),
+        transit in 0..TRANSITS.len(),
+        qs in queries(10, 4, 4),
     ) {
-        let inst = random_instance(10, &edges, relay, transit_nodes, transit, width);
+        let inst = random_instance(10, &edges, relay, transit_nodes, transit);
         check_queries(&inst, &qs)?;
     }
 
@@ -274,10 +285,10 @@ proptest! {
         shape in (1usize..6, 2usize..6),
         factor in 0..GRID_FACTORS.len(),
         relay in relays(36),
-        (transit, width) in (0..TRANSITS.len(), 1u32..3),
-        qs in queries(36, 3),
+        transit in 0..TRANSITS.len(),
+        qs in queries(36, 3, 3),
     ) {
-        let inst = grid_instance(shape, GRID_FACTORS[factor], relay, transit, width);
+        let inst = grid_instance(shape, GRID_FACTORS[factor], relay, transit);
         check_queries(&inst, &qs)?;
     }
 }
@@ -293,10 +304,10 @@ proptest! {
         edges in proptest::collection::vec((0usize..40, 0usize..40, 0..FACTORS.len()), 0..120),
         relay in relays(40),
         transit_nodes in proptest::collection::vec(proptest::bool::ANY, 40),
-        (transit, width) in (0..TRANSITS.len(), 1u32..4),
-        qs in queries(40, 8),
+        transit in 0..TRANSITS.len(),
+        qs in queries(40, 4, 8),
     ) {
-        let inst = random_instance(n, &edges, relay, transit_nodes, transit, width);
+        let inst = random_instance(n, &edges, relay, transit_nodes, transit);
         check_queries(&inst, &qs)?;
     }
 
@@ -307,10 +318,10 @@ proptest! {
         shape in (1usize..12, 2usize..12),
         factor in 0..GRID_FACTORS.len(),
         relay in relays(144),
-        (transit, width) in (0..TRANSITS.len(), 1u32..3),
-        qs in queries(144, 6),
+        transit in 0..TRANSITS.len(),
+        qs in queries(144, 3, 6),
     ) {
-        let inst = grid_instance(shape, GRID_FACTORS[factor], relay, transit, width);
+        let inst = grid_instance(shape, GRID_FACTORS[factor], relay, transit);
         check_queries(&inst, &qs)?;
     }
 }
