@@ -590,8 +590,10 @@ pub fn scale_row(
 /// columns hold only deterministic-plane values, so they are
 /// byte-identical across `--threads` settings that divide `mc_rounds`
 /// and across kill/resume boundaries — wall-time stays confined to the
-/// `route_ms`/`mc_ms` columns. Callers wanting per-row metrics must pass
-/// a fresh registry per call; a reused one accumulates across rows.
+/// `world_ms`/`route_ms`/`mc_ms` columns, one per stage of the row:
+/// building the network instance, routing, and Monte Carlo. Callers
+/// wanting per-row metrics must pass a fresh registry per call; a
+/// reused one accumulates across rows.
 #[must_use]
 pub fn scale_row_with(
     config: &ExperimentConfig,
@@ -602,7 +604,9 @@ pub fn scale_row_with(
 ) -> crate::report::Row {
     use std::time::Instant;
     let threads = config.resolved_threads();
+    let t_world = Instant::now();
     let (net, demands) = config.instance(instance);
+    let world_ms = t_world.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
     let plan = algorithm.route_threads_counted(&net, &demands, config.h, threads, registry);
     let route_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -646,6 +650,7 @@ pub fn scale_row_with(
         .push_int("demands", demands.len() as i64)
         .push_int("nodes", net.node_count() as i64)
         .push_int("edges", net.graph().edge_count() as i64)
+        .push_num("world_ms", world_ms)
         .push_num("route_ms", route_ms)
         .push_num("mc_ms", mc_ms);
     if registry.is_enabled() {
@@ -705,6 +710,7 @@ pub fn fig_scale_from_rows(config: &ExperimentConfig, rows: &[crate::report::Row
             "switches".into(),
             "edges".into(),
             "rate".into(),
+            "world_ms".into(),
             "route_ms".into(),
             "mc_ms".into(),
         ],
@@ -714,6 +720,7 @@ pub fn fig_scale_from_rows(config: &ExperimentConfig, rows: &[crate::report::Row
                 mean("switches"),
                 mean("edges"),
                 mean("rate"),
+                mean("world_ms"),
                 mean("route_ms"),
                 mean("mc_ms"),
             ],
@@ -820,12 +827,15 @@ mod tests {
     #[test]
     fn scale_figure_reports_shape_and_timing() {
         let t = fig_scale(&tiny());
-        assert_eq!(t.ticks.len(), 5);
+        assert_eq!(t.ticks.len(), 6);
         let v = &t.series[0].values;
         assert_eq!(v[0], 30.0, "quick config has 30 switches");
         assert!(v[1] > 30.0, "edges outnumber switches");
         assert!(v[2] > 0.0, "must route something");
-        assert!(v[3] >= 0.0 && v[4] >= 0.0, "timings are non-negative");
+        assert!(
+            v[3..].iter().all(|&ms| ms >= 0.0),
+            "timings are non-negative"
+        );
     }
 
     #[test]
@@ -841,7 +851,9 @@ mod tests {
             assert_eq!(row.int_field("load"), Some(6));
             assert_eq!(row.int_field("seed"), Some((c.seed + i as u64) as i64));
             assert!(row.num_field("rate").is_some_and(|r| r > 0.0));
-            assert!(row.num_field("route_ms").is_some());
+            for stage in ["world_ms", "route_ms", "mc_ms"] {
+                assert!(row.num_field(stage).is_some_and(|ms| ms >= 0.0), "{stage}");
+            }
             // Rows must round-trip through the shared JSONL codec.
             let line = row.to_json();
             assert_eq!(&crate::report::Row::parse_json(&line).unwrap(), row);

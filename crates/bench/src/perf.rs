@@ -62,8 +62,9 @@ pub const CALIBRATION: &str = "calibration";
 /// Stable workload names, in execution order. Must stay in sync with the
 /// committed `BENCH_BASELINE.json` — `workload_set_matches_baseline_keys`
 /// fails otherwise, so a new workload cannot silently escape the CI gate.
-pub const WORKLOADS: [&str; 9] = [
+pub const WORKLOADS: [&str; 10] = [
     CALIBRATION,
+    "world_build",
     "alg1_path_search",
     "alg2_selection",
     "eq1_flow_rate",
@@ -138,6 +139,18 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
     assert!(reps > 0, "need at least one timed repetition");
     match name {
         CALIBRATION => run_calibration(reps),
+        "world_build" => {
+            // The §V-A evaluation world as a sweep cell or a `serve` start
+            // builds it, switch layer, bridging and user attachment: a
+            // 1k-switch Waxman and a 1k-switch grid instance. Single
+            // threaded; it counts no work.
+            let waxman = ExperimentConfig::large(1_000);
+            let grid = ExperimentConfig::large_grid(1_000);
+            time_workload(name, reps, || {
+                black_box(waxman.instance(0));
+                black_box(grid.instance(0));
+            })
+        }
         "alg1_path_search" => {
             // The workload is "answer these path queries"; since the
             // scratch refactor the production callers hold a reusable

@@ -1,4 +1,3 @@
-use std::collections::HashSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -27,6 +26,28 @@ impl fmt::Display for PathError {
 }
 
 impl std::error::Error for PathError {}
+
+/// Longest node sequence [`first_repeat`] checks pairwise, without
+/// allocating; longer ones sort a copy.
+const PAIRWISE_REPEAT_CHECK: usize = 32;
+
+/// The node whose second occurrence comes first in `nodes`, if any node
+/// occurs twice.
+fn first_repeat(nodes: &[NodeId]) -> Option<NodeId> {
+    if nodes.len() <= PAIRWISE_REPEAT_CHECK {
+        return (1..nodes.len()).find_map(|i| nodes[..i].contains(&nodes[i]).then_some(nodes[i]));
+    }
+    // Sorted by (node, position), equal nodes are adjacent with their
+    // positions ascending; the smallest later position is the first
+    // repeat.
+    let mut sorted: Vec<(NodeId, usize)> = nodes.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    sorted
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .min_by_key(|w| w[1].1)
+        .map(|w| w[1].0)
+}
 
 /// A loopless node sequence through a graph.
 ///
@@ -65,9 +86,8 @@ impl Path {
     #[must_use]
     pub fn new(nodes: Vec<NodeId>) -> Self {
         assert!(!nodes.is_empty(), "path must contain at least one node");
-        let mut seen = HashSet::with_capacity(nodes.len());
-        for &n in &nodes {
-            assert!(seen.insert(n), "node {n} repeats in path");
+        if let Some(n) = first_repeat(&nodes) {
+            panic!("node {n} repeats in path");
         }
         Path { nodes }
     }
@@ -83,11 +103,8 @@ impl Path {
         if nodes.is_empty() {
             return Err(PathError::Empty);
         }
-        let mut seen = HashSet::with_capacity(nodes.len());
-        for &n in &nodes {
-            if !seen.insert(n) {
-                return Err(PathError::RepeatedNode(n));
-            }
+        if let Some(n) = first_repeat(&nodes) {
+            return Err(PathError::RepeatedNode(n));
         }
         for w in nodes.windows(2) {
             if !graph.contains_edge(w[0], w[1]) {
@@ -235,6 +252,36 @@ mod tests {
         assert_eq!(p.source(), ids[0]);
         assert_eq!(p.destination(), ids[3]);
         assert_eq!(p.intermediates(), &ids[1..3]);
+    }
+
+    #[test]
+    fn first_repeat_matches_a_seen_set_scan() {
+        // Short sequences take the pairwise check, long ones the sorted
+        // copy; both must name the node a left-to-right seen-set scan
+        // stops at.
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        for len in 0..80 {
+            for alphabet in [len.max(1), 2 * len + 1, 4 * len + 1] {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let nodes: Vec<NodeId> = (0..len)
+                    .map(|i| NodeId::new((state.rotate_left(i as u32) as usize) % alphabet))
+                    .collect();
+                let mut seen = std::collections::HashSet::new();
+                let expected = nodes.iter().copied().find(|&n| !seen.insert(n));
+                assert_eq!(first_repeat(&nodes), expected, "{nodes:?}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "node n7 repeats in path")]
+    fn long_paths_name_the_first_repeat() {
+        let mut nodes: Vec<NodeId> = (0..40).map(NodeId::new).collect();
+        nodes.push(NodeId::new(7));
+        nodes.push(NodeId::new(3));
+        let _ = Path::new(nodes);
     }
 
     #[test]
