@@ -13,8 +13,9 @@
 use std::time::Instant;
 
 use fusion_bench::workloads::ExperimentConfig;
-use fusion_core::algorithms::alg2;
+use fusion_core::algorithms::{alg2, SelectionQuery};
 use fusion_core::SwapMode;
+use fusion_telemetry::Registry;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -33,14 +34,12 @@ fn main() {
     let caps = net.capacities();
     let max_width = net.max_switch_capacity();
     let t1 = Instant::now();
-    let descent = alg2::paths_selection(
-        &net,
-        &demands,
-        &caps,
-        config.h,
+    let query = SelectionQuery {
+        h: config.h,
         max_width,
-        SwapMode::NFusion,
-    );
+        mode: SwapMode::NFusion,
+    };
+    let descent = alg2::paths_selection(&net, &demands, &caps, query, 1, &Registry::disabled());
     let descent_t = t1.elapsed();
     eprintln!(
         "width-descent alg2: {descent_t:?} ({} candidates)",

@@ -9,8 +9,9 @@
 use std::time::Instant;
 
 use fusion_bench::workloads::ExperimentConfig;
-use fusion_core::algorithms::{alg2, alg3_greedy};
+use fusion_core::algorithms::{alg2, alg3_greedy, MergeCounters, SelectionQuery};
 use fusion_core::SwapMode;
+use fusion_telemetry::Registry;
 
 fn main() {
     let n: usize = std::env::args()
@@ -23,21 +24,26 @@ fn main() {
     eprintln!("instance({n}): {:?}", t0.elapsed());
 
     let caps = net.capacities();
-    let max_width = net.max_switch_capacity();
+    let query = SelectionQuery {
+        h: config.h,
+        max_width: net.max_switch_capacity(),
+        mode: SwapMode::NFusion,
+    };
     let t1 = Instant::now();
-    let candidates = alg2::paths_selection(
-        &net,
-        &demands,
-        &caps,
-        config.h,
-        max_width,
-        SwapMode::NFusion,
-    );
+    let candidates = alg2::paths_selection(&net, &demands, &caps, query, 1, &Registry::disabled());
     eprintln!("alg2: {:?} ({} candidates)", t1.elapsed(), candidates.len());
 
     let t2 = Instant::now();
-    let out =
-        alg3_greedy::paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+    let out = alg3_greedy::paths_merge_greedy(
+        &net,
+        &demands,
+        &candidates,
+        SwapMode::NFusion,
+        true,
+        None,
+        &caps,
+        &MergeCounters::default(),
+    );
     let queue_t = t2.elapsed();
     let accepted: usize = out.plans.iter().map(|p| p.paths.len()).sum();
     eprintln!("queue merge: {queue_t:?} ({accepted} accepted)");

@@ -95,14 +95,7 @@ fn main() {
             "--help" | "-h" => {
                 println!("usage: figures [IDS...] [--quick] [--preset NAME] [--analytic] [--seeds N] [--rounds N] [--threads N] [--out DIR] [--calibrate]");
                 println!("figure ids: {}", ALL_FIGURES.join(" "));
-                println!(
-                    "presets: {}",
-                    scale_presets()
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                );
+                println!("presets: {}", preset_list());
                 return;
             }
             other if other.starts_with("--") => die(&format!("unknown flag {other}")),
@@ -123,16 +116,7 @@ fn main() {
             .into_iter()
             .find(|(n, _)| n == name)
             .map(|(_, c)| c)
-            .unwrap_or_else(|| {
-                die(&format!(
-                    "unknown preset {name}; known: {}",
-                    scale_presets()
-                        .iter()
-                        .map(|(n, _)| *n)
-                        .collect::<Vec<_>>()
-                        .join(" ")
-                ))
-            }),
+            .unwrap_or_else(|| die(&format!("unknown preset {name}; known: {}", preset_list()))),
         None if quick => ExperimentConfig::quick(),
         None => ExperimentConfig::default(),
     };
@@ -253,6 +237,12 @@ fn validate_scale_budget(config: &ExperimentConfig, preset: Option<&str>) {
             config.mc_rounds
         ));
     }
+}
+
+/// The `--preset` names, space-separated.
+fn preset_list() -> String {
+    let names: Vec<&str> = scale_presets().iter().map(|(n, _)| *n).collect();
+    names.join(" ")
 }
 
 fn die(msg: &str) -> ! {

@@ -98,7 +98,7 @@ fn run(args: &[String]) {
         } else {
             Registry::disabled()
         };
-        let r = perf::run_workload_with(name, reps, &registry);
+        let r = perf::run_workload(name, reps, &registry);
         eprintln!("  {name}: {:.0} us median", r.median_ns / 1_000.0);
         if let Some(dir) = &metrics_dir {
             let path = dir.join(format!("{name}.metrics.json"));

@@ -5,8 +5,9 @@ use std::fmt::Write as _;
 
 use fusion_core::algorithms::{route, RoutingConfig};
 use fusion_core::metrics;
-use fusion_sim::evaluate::estimate_plan;
+use fusion_sim::evaluate::{estimate_plan, McCounters};
 use fusion_sim::exact;
+use fusion_telemetry::Registry;
 use fusion_topology::GeneratorKind;
 
 use crate::workloads::{mean_rate, Algorithm, ExperimentConfig};
@@ -280,8 +281,9 @@ pub fn ablation_eq1(config: &ExperimentConfig) -> FigureTable {
     let mut total = 0usize;
     for i in 0..config.networks {
         let (net, demands) = config.instance(i);
-        let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
-        let mc = estimate_plan(&net, &plan, config.mc_rounds.max(500), config.seed);
+        let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h, 1, &Registry::disabled());
+        let rounds = config.mc_rounds.max(500);
+        let mc = estimate_plan(&net, &plan, rounds, config.seed, 1, &McCounters::default());
         for (di, dp) in plan.plans.iter().enumerate() {
             total += 1;
             let elements = dp.flow.edge_count()
@@ -350,42 +352,61 @@ pub fn ablation_h(config: &ExperimentConfig) -> FigureTable {
     )
 }
 
+/// One pipeline ablation: ALG-N-FUSION's mean rate over the configured
+/// networks under each `(tick, routing)` variant, routed serially with
+/// no telemetry — Monte Carlo when `config.mc_rounds > 0`, analytic
+/// otherwise.
+fn pipeline_ablation(
+    config: &ExperimentConfig,
+    id: &'static str,
+    title: &str,
+    x_label: &'static str,
+    variants: [(&str, RoutingConfig); 2],
+) -> FigureTable {
+    let mut totals = [0.0; 2];
+    for i in 0..config.networks {
+        let (net, demands) = config.instance(i);
+        let caps = net.capacities();
+        for ((_, routing), total) in variants.iter().zip(&mut totals) {
+            let plan = route(&net, &demands, routing, &caps, 1, &Registry::disabled()).plan;
+            *total += if config.mc_rounds == 0 {
+                plan.total_rate(&net)
+            } else {
+                let mc = McCounters::default();
+                estimate_plan(&net, &plan, config.mc_rounds, config.seed, 1, &mc).total_rate()
+            };
+        }
+    }
+    FigureTable {
+        id,
+        title: title.into(),
+        x_label,
+        ticks: variants.iter().map(|(tick, _)| (*tick).into()).collect(),
+        series: vec![Series {
+            label: "ALG-N-FUSION".into(),
+            values: totals.map(|t| t / config.networks as f64).to_vec(),
+        }],
+    }
+}
+
 /// Ablation: flow-like-graph merging on vs. off (§IV-B idea 1).
 #[must_use]
 pub fn ablation_merge(config: &ExperimentConfig) -> FigureTable {
-    let mut with_merge = Vec::new();
-    let mut without_merge = Vec::new();
-    for i in 0..config.networks {
-        let (net, demands) = config.instance(i);
-        let base = RoutingConfig {
-            h: config.h,
-            ..RoutingConfig::n_fusion()
-        };
-        let no_merge = RoutingConfig {
-            merge_paths: false,
-            ..base
-        };
-        for (cfg, out) in [(base, &mut with_merge), (no_merge, &mut without_merge)] {
-            let plan = route(&net, &demands, &cfg);
-            let rate = if config.mc_rounds == 0 {
-                plan.total_rate(&net)
-            } else {
-                estimate_plan(&net, &plan, config.mc_rounds, config.seed).total_rate()
-            };
-            out.push(rate);
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    FigureTable {
-        id: "ablation-merge",
-        title: "flow-like-graph merging on vs off".into(),
-        x_label: "variant",
-        ticks: vec!["merged".into(), "unmerged".into()],
-        series: vec![Series {
-            label: "ALG-N-FUSION".into(),
-            values: vec![mean(&with_merge), mean(&without_merge)],
-        }],
-    }
+    let base = RoutingConfig {
+        h: config.h,
+        ..RoutingConfig::n_fusion()
+    };
+    let unmerged = RoutingConfig {
+        merge_paths: false,
+        ..base
+    };
+    pipeline_ablation(
+        config,
+        "ablation-merge",
+        "flow-like-graph merging on vs off",
+        "variant",
+        [("merged", base), ("unmerged", unmerged)],
+    )
 }
 
 /// Ablation: merge order — gain-per-qubit (default) vs the paper's
@@ -393,39 +414,21 @@ pub fn ablation_merge(config: &ExperimentConfig) -> FigureTable {
 #[must_use]
 pub fn ablation_merge_order(config: &ExperimentConfig) -> FigureTable {
     use fusion_core::algorithms::MergeOrder;
-    let mut greedy = Vec::new();
-    let mut width_major = Vec::new();
-    for i in 0..config.networks {
-        let (net, demands) = config.instance(i);
-        for (order, out) in [
-            (MergeOrder::GainPerQubit, &mut greedy),
-            (MergeOrder::WidthMajor, &mut width_major),
-        ] {
-            let cfg = RoutingConfig {
-                h: config.h,
-                merge_order: order,
-                ..RoutingConfig::n_fusion()
-            };
-            let plan = route(&net, &demands, &cfg);
-            let rate = if config.mc_rounds == 0 {
-                plan.total_rate(&net)
-            } else {
-                estimate_plan(&net, &plan, config.mc_rounds, config.seed).total_rate()
-            };
-            out.push(rate);
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    FigureTable {
-        id: "ablation-merge-order",
-        title: "Algorithm 3 consumption order: gain-per-qubit vs width-major".into(),
-        x_label: "order",
-        ticks: vec!["gain-per-qubit".into(), "width-major".into()],
-        series: vec![Series {
-            label: "ALG-N-FUSION".into(),
-            values: vec![mean(&greedy), mean(&width_major)],
-        }],
-    }
+    let order = |merge_order| RoutingConfig {
+        h: config.h,
+        merge_order,
+        ..RoutingConfig::n_fusion()
+    };
+    pipeline_ablation(
+        config,
+        "ablation-merge-order",
+        "Algorithm 3 consumption order: gain-per-qubit vs width-major",
+        "order",
+        [
+            ("gain-per-qubit", order(MergeOrder::GainPerQubit)),
+            ("width-major", order(MergeOrder::WidthMajor)),
+        ],
+    )
 }
 
 /// Ablation: the three classic-swapping models (DESIGN.md §2) evaluated on
@@ -447,7 +450,7 @@ pub fn ablation_classic(config: &ExperimentConfig) -> FigureTable {
     for i in 0..config.networks {
         let (net, demands) = config.instance(i);
         // Width-carrying single paths: the Q-CAST-N routes.
-        let plan = Algorithm::QCastN.route(&net, &demands, config.h);
+        let plan = Algorithm::QCastN.route(&net, &demands, config.h, 1, &Registry::disabled());
         for (ei, (_, eval)) in evaluators.iter().enumerate() {
             let mut total = 0.0;
             for dp in &plan.plans {
@@ -549,7 +552,8 @@ pub fn ablation_failures(config: &ExperimentConfig) -> FigureTable {
         let mut total = 0.0;
         for i in 0..config.networks {
             let (net, demands) = config.instance(i);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan =
+                Algorithm::AlgNFusion.route(&net, &demands, config.h, 1, &Registry::disabled());
             let degraded = model.degrade(&net);
             total += plan.total_rate(&degraded);
         }
@@ -566,30 +570,16 @@ pub fn ablation_failures(config: &ExperimentConfig) -> FigureTable {
 
 /// One per-instance measurement row for the scale probe, in the schema
 /// consumed by the `fusion-runner` aggregator (same field names as the
-/// sweep engine's JSONL results store, so one set of tooling parses both).
-#[must_use]
-pub fn scale_row(
-    config: &ExperimentConfig,
-    preset: &str,
-    algorithm: Algorithm,
-    instance: usize,
-) -> crate::report::Row {
-    scale_row_with(
-        config,
-        preset,
-        algorithm,
-        instance,
-        &fusion_telemetry::Registry::disabled(),
-    )
-}
-
-/// [`scale_row`] with routing/MC telemetry recorded into `registry` and
+/// sweep engine's JSONL results store, so one set of tooling parses
+/// both).
+///
+/// Routing and Monte Carlo telemetry record into `registry` and are
 /// appended to the row as `m_<counter>` integer columns (sorted by
 /// counter name, after the fixed measurement columns). With a disabled
-/// registry the row is byte-identical to the historical schema. Counter
-/// columns hold only deterministic-plane values, so they are
-/// byte-identical across `--threads` settings that divide `mc_rounds`
-/// and across kill/resume boundaries — wall-time stays confined to the
+/// registry the row carries no counter columns. Counter columns hold
+/// only deterministic-plane values, so they are byte-identical across
+/// `--threads` settings that divide `mc_rounds` and across kill/resume
+/// boundaries — wall-time stays confined to the
 /// `world_ms`/`route_ms`/`mc_ms` columns, one per stage of the row:
 /// building the network instance, routing, and Monte Carlo. Callers
 /// wanting per-row metrics must pass a fresh registry per call; a
@@ -600,7 +590,7 @@ pub fn scale_row_with(
     preset: &str,
     algorithm: Algorithm,
     instance: usize,
-    registry: &fusion_telemetry::Registry,
+    registry: &Registry,
 ) -> crate::report::Row {
     use std::time::Instant;
     let threads = config.resolved_threads();
@@ -608,31 +598,14 @@ pub fn scale_row_with(
     let (net, demands) = config.instance(instance);
     let world_ms = t_world.elapsed().as_secs_f64() * 1e3;
     let t0 = Instant::now();
-    let plan = algorithm.route_threads_counted(&net, &demands, config.h, threads, registry);
+    let plan = algorithm.route(&net, &demands, config.h, threads, registry);
     let route_ms = t0.elapsed().as_secs_f64() * 1e3;
     let t1 = Instant::now();
     let (rate, stderr) = if config.mc_rounds == 0 {
         (plan.total_rate(&net), 0.0)
     } else {
-        let mc = fusion_sim::evaluate::McCounters::from_registry(registry);
-        let est = if threads > 1 {
-            fusion_sim::evaluate::estimate_plan_parallel_counted(
-                &net,
-                &plan,
-                config.mc_rounds,
-                config.seed,
-                threads,
-                &mc,
-            )
-        } else {
-            fusion_sim::evaluate::estimate_plan_counted(
-                &net,
-                &plan,
-                config.mc_rounds,
-                config.seed,
-                &mc,
-            )
-        };
+        let mc = McCounters::from_registry(registry);
+        let est = estimate_plan(&net, &plan, config.mc_rounds, config.seed, threads, &mc);
         (est.total_rate(), est.total_stderr())
     };
     let mc_ms = t1.elapsed().as_secs_f64() * 1e3;
@@ -670,7 +643,15 @@ pub fn scale_row_with(
 #[must_use]
 pub fn scale_rows(config: &ExperimentConfig, preset: &str) -> Vec<crate::report::Row> {
     (0..config.networks)
-        .map(|i| scale_row(config, preset, Algorithm::AlgNFusion, i))
+        .map(|i| {
+            scale_row_with(
+                config,
+                preset,
+                Algorithm::AlgNFusion,
+                i,
+                &Registry::disabled(),
+            )
+        })
         .collect()
 }
 
@@ -858,6 +839,45 @@ mod tests {
             let line = row.to_json();
             assert_eq!(&crate::report::Row::parse_json(&line).unwrap(), row);
         }
+    }
+
+    #[test]
+    fn scale_rows_pin_their_counter_columns() {
+        // The sweep summary pins one `mean_m_*` column per registered
+        // counter (e2e_bench/reference/). ALG-N-FUSION records its
+        // Algorithm 2, Algorithm 3 and Monte Carlo work; a baseline
+        // routes with a disabled registry, so only its Monte Carlo
+        // counters may appear.
+        let mut c = ExperimentConfig::quick();
+        c.networks = 1;
+        let counter_columns = |algorithm: Algorithm| -> Vec<String> {
+            let row = scale_row_with(&c, "quick", algorithm, 0, &Registry::enabled());
+            row.fields()
+                .iter()
+                .filter_map(|(key, _)| key.strip_prefix("m_").map(str::to_owned))
+                .collect()
+        };
+        assert_eq!(
+            counter_columns(Algorithm::AlgNFusion),
+            [
+                "alg2.reach_skips",
+                "alg2.search.exhaustions",
+                "alg2.search.pops",
+                "alg2.search.relaxations",
+                "alg2.spur_searches",
+                "alg2.widths_searched",
+                "alg3.accepts",
+                "alg3.heap_pushes",
+                "alg3.invalidations",
+                "alg3.stale_pops",
+                "mc.fusion_attempts",
+                "mc.rounds",
+            ]
+        );
+        assert_eq!(
+            counter_columns(Algorithm::QCastN),
+            ["mc.fusion_attempts", "mc.rounds"]
+        );
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! [`workloads`] defines the default network configuration and runs the
 //! four algorithms (plus the Alg-3 ablation) on generated instances;
 //! [`figures`] sweeps the parameters of every figure in the paper and
-//! formats the resulting series. The `figures` binary prints them; the
-//! Criterion benches measure the routing algorithms' compute cost on the
-//! same workloads.
+//! formats the resulting series. The `figures` binary prints them;
+//! [`perf`] times fixed workloads and counts their work for the
+//! `perfbench` gates.
 //!
 //! This crate is one layer of the stack mapped in `docs/ARCHITECTURE.md`
 //! at the repo root (dependency graph, algorithm-to-module map, and the

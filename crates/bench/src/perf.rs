@@ -1,10 +1,8 @@
 //! Wall-clock perf workloads with machine-readable output.
 //!
-//! Criterion's statistical micro-benches (`cargo bench`) are great for
-//! local investigation but awkward to gate CI on: the vendored harness has
-//! no baseline comparison and shared runners are noisy. This module defines
-//! a small set of *fixed, deterministic* workloads, times them with plain
-//! `Instant` medians, and serializes the results as a flat JSON map so the
+//! Shared CI runners are noisy, so this module defines a small set of
+//! *fixed, deterministic* workloads, times them with plain `Instant`
+//! medians, and serializes the results as a flat JSON map so the
 //! `perfbench` binary can emit and compare them (the CI bench job fails on
 //! large threshold-based regressions, per ROADMAP).
 //!
@@ -21,10 +19,10 @@ use std::collections::BTreeMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use fusion_core::algorithms::{alg1, alg2, alg3_greedy, MergeCounters};
+use fusion_core::algorithms::{alg1, alg2, alg3_greedy, MergeCounters, SelectionQuery};
 use fusion_core::{metrics, SwapMode};
 use fusion_graph::{SearchCounters, SearchScratch};
-use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
+use fusion_sim::evaluate::{estimate_plan, McCounters};
 use fusion_telemetry::{MetricsSnapshot, Registry};
 
 use crate::workloads::{Algorithm, ExperimentConfig};
@@ -112,30 +110,22 @@ fn run_calibration(reps: usize) -> BenchResult {
     })
 }
 
-/// Runs the named workload with `reps` timed repetitions.
+/// Runs the named workload with `reps` timed repetitions, recording the
+/// timed region's routing/search/MC counters into `registry` (setup work
+/// — topology generation, trace generation, candidate construction —
+/// stays uncounted; pass [`Registry::disabled`] to record nothing). With
+/// an enabled registry the timed code paths are identical to the
+/// disabled run except for the counter increments themselves, which is
+/// exactly what the `telemetry_overhead_within_gate` regression test
+/// measures. Counter totals accumulate over the warmup plus all `reps`
+/// repetitions, so a snapshot taken afterwards is deterministic for a
+/// fixed `(name, reps)`.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of [`WORKLOADS`] or `reps == 0`.
 #[must_use]
-pub fn run_workload(name: &str, reps: usize) -> BenchResult {
-    run_workload_with(name, reps, &Registry::disabled())
-}
-
-/// [`run_workload`] with routing/search/MC counters from the timed region
-/// recorded into `registry` (setup work — topology generation, trace
-/// generation, candidate construction — stays uncounted). With an enabled
-/// registry the timed code paths are identical to the disabled run except
-/// for the counter increments themselves, which is exactly what the
-/// `telemetry_overhead_within_gate` regression test measures. Counter
-/// totals accumulate over the warmup plus all `reps` repetitions, so a
-/// snapshot taken afterwards is deterministic for a fixed `(name, reps)`.
-///
-/// # Panics
-///
-/// As [`run_workload`].
-#[must_use]
-pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchResult {
+pub fn run_workload(name: &str, reps: usize, registry: &Registry) -> BenchResult {
     assert!(reps > 0, "need at least one timed repetition");
     match name {
         CALIBRATION => run_calibration(reps),
@@ -181,22 +171,22 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             let config = ExperimentConfig::quick();
             let (net, demands) = config.instance(0);
             let caps = net.capacities();
+            let query = SelectionQuery {
+                h: config.h,
+                max_width: 5,
+                mode: SwapMode::NFusion,
+            };
             time_workload(name, reps, || {
-                black_box(alg2::paths_selection_counted(
-                    &net,
-                    &demands,
-                    &caps,
-                    config.h,
-                    5,
-                    SwapMode::NFusion,
-                    registry,
+                black_box(alg2::paths_selection(
+                    &net, &demands, &caps, query, 1, registry,
                 ));
             })
         }
         "eq1_flow_rate" => {
             let config = ExperimentConfig::quick();
             let (net, demands) = config.instance(0);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan =
+                Algorithm::AlgNFusion.route(&net, &demands, config.h, 1, &Registry::disabled());
             time_workload(name, reps, || {
                 for dp in &plan.plans {
                     black_box(metrics::flow_rate(&net, &dp.flow));
@@ -206,10 +196,11 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
         "mc_round" => {
             let config = ExperimentConfig::quick();
             let (net, demands) = config.instance(0);
-            let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h);
+            let plan =
+                Algorithm::AlgNFusion.route(&net, &demands, config.h, 1, &Registry::disabled());
             let mc = McCounters::from_registry(registry);
             time_workload(name, reps, || {
-                black_box(estimate_plan_counted(&net, &plan, 2_000, config.seed, &mc));
+                black_box(estimate_plan(&net, &plan, 2_000, config.seed, 1, &mc));
             })
         }
         "alg2_select" => {
@@ -227,16 +218,14 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             let (net, demands) = config.instance(0);
             let caps = net.capacities();
             let slice = &demands[..8.min(demands.len())];
-            let max_width = net.max_switch_capacity();
+            let query = SelectionQuery {
+                h: config.h,
+                max_width: net.max_switch_capacity(),
+                mode: SwapMode::NFusion,
+            };
             time_workload(name, reps, || {
-                black_box(alg2::paths_selection_counted(
-                    &net,
-                    slice,
-                    &caps,
-                    config.h,
-                    max_width,
-                    SwapMode::NFusion,
-                    registry,
+                black_box(alg2::paths_selection(
+                    &net, slice, &caps, query, 1, registry,
                 ));
             })
         }
@@ -252,17 +241,16 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             config.threads = 1;
             let (net, demands) = config.instance(0);
             let caps = net.capacities();
-            let candidates = alg2::paths_selection(
-                &net,
-                &demands,
-                &caps,
-                config.h,
-                net.max_switch_capacity(),
-                SwapMode::NFusion,
-            );
+            let query = SelectionQuery {
+                h: config.h,
+                max_width: net.max_switch_capacity(),
+                mode: SwapMode::NFusion,
+            };
+            let candidates =
+                alg2::paths_selection(&net, &demands, &caps, query, 1, &Registry::disabled());
             let merge_counters = MergeCounters::from_registry(registry);
             time_workload(name, reps, || {
-                black_box(alg3_greedy::paths_merge_greedy_counted(
+                black_box(alg3_greedy::paths_merge_greedy(
                     &net,
                     &demands,
                     &candidates,
@@ -282,18 +270,17 @@ pub fn run_workload_with(name: &str, reps: usize, registry: &Registry) -> BenchR
             // can normalize across machines — a core-count difference
             // between the baseline host and a CI runner would otherwise
             // trip (or mask) the gate on parallel workloads. Parallel
-            // scaling is covered by the bit-identity tests and the
-            // Criterion `scale` bench instead.
+            // scaling is covered by the bit-identity tests, and timed by
+            // `figures scale --preset large-1k-grid --threads N`, which
+            // reports `route_ms` and `mc_ms`.
             let mut config = ExperimentConfig::large_grid(1_000);
             config.threads = 1;
             let (net, demands) = config.instance(0);
             let mc = McCounters::from_registry(registry);
             time_workload(name, reps, || {
-                let plan = Algorithm::AlgNFusion
-                    .route_threads_counted(&net, &demands, config.h, 1, registry);
+                let plan = Algorithm::AlgNFusion.route(&net, &demands, config.h, 1, registry);
                 black_box(
-                    estimate_plan_counted(&net, &plan, config.mc_rounds, config.seed, &mc)
-                        .total_rate(),
+                    estimate_plan(&net, &plan, config.mc_rounds, config.seed, 1, &mc).total_rate(),
                 );
             })
         }
@@ -758,7 +745,7 @@ mod tests {
     fn quick_workloads_produce_positive_times() {
         // Keep this to the two cheapest workloads so the test stays fast.
         for name in ["eq1_flow_rate", "alg1_path_search"] {
-            let r = run_workload(name, 1);
+            let r = run_workload(name, 1, &Registry::disabled());
             assert!(r.median_ns > 0.0, "{name} measured nothing");
         }
     }
@@ -769,7 +756,7 @@ mod tests {
         // when handed an enabled registry, and the default (disabled)
         // path must register nothing at all.
         let registry = Registry::enabled();
-        let _ = run_workload_with("alg1_path_search", 1, &registry);
+        let _ = run_workload("alg1_path_search", 1, &registry);
         let snap = registry.snapshot();
         assert!(
             snap.value("alg1.search.pops") > 0,
@@ -777,7 +764,7 @@ mod tests {
         );
 
         let disabled = Registry::disabled();
-        let _ = run_workload_with("alg1_path_search", 1, &disabled);
+        let _ = run_workload("alg1_path_search", 1, &disabled);
         assert!(disabled.snapshot().iter().next().is_none());
     }
 
@@ -799,7 +786,7 @@ mod tests {
             GATED
                 .iter()
                 .map(|w| {
-                    let r = run_workload_with(w, REPS, registry);
+                    let r = run_workload(w, REPS, registry);
                     (r.name, r.median_ns)
                 })
                 .collect()

@@ -1,9 +1,10 @@
 //! Default experiment configuration (paper §V-A) and algorithm runners.
 
-use fusion_core::algorithms::{route_with_capacity_counted, RoutingConfig};
+use fusion_core::algorithms::{route, RoutingConfig};
 use fusion_core::baselines::{route_b1, route_qcast, route_qcast_n, DEFAULT_REGION_PATHS};
-use fusion_core::{Demand, NetworkParams, NetworkPlan, PhysicsParams, QuantumNetwork};
-use fusion_sim::evaluate::{estimate_plan_counted, McCounters};
+use fusion_core::{Demand, NetworkParams, NetworkPlan, QuantumNetwork};
+use fusion_serve::ServePreset;
+use fusion_sim::evaluate::{estimate_plan, McCounters};
 use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
@@ -32,56 +33,32 @@ pub struct ExperimentConfig {
 }
 
 impl Default for ExperimentConfig {
+    /// The `default` preset: the paper's §V-A world, averaged over 5
+    /// networks with 1,500 Monte Carlo rounds, serial.
     fn default() -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig::default(),
-            network: NetworkParams::default(),
-            networks: 5,
-            h: 5,
-            mc_rounds: 1_500,
-            seed: 0x5eed,
-            threads: 1,
-        }
+        preset("default")
     }
 }
 
 impl ExperimentConfig {
-    /// A scaled-down configuration for fast smoke runs and Criterion
-    /// benches (30 switches, 6 states, 2 networks).
+    /// The `quick` preset: a scaled-down world (30 switches, 6 states)
+    /// for smoke runs and tests, averaged over 2 networks.
     #[must_use]
     pub fn quick() -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig {
-                num_switches: 30,
-                num_user_pairs: 6,
-                avg_degree: 6.0,
-                ..TopologyConfig::default()
-            },
-            networks: 2,
-            mc_rounds: 400,
-            ..ExperimentConfig::default()
-        }
+        preset("quick")
     }
 
-    /// A large-scale preset: `num_switches` switches (Waxman by default,
-    /// see [`ExperimentConfig::large_grid`]), 50 demanded states, one
-    /// network, h = 3, 200 Monte Carlo rounds, all cores. These settings
-    /// keep a 1k-switch end-to-end run in seconds and a 10k-switch run in
-    /// minutes; push any knob back up explicitly when you need more.
+    /// The `large-1k` preset's shape with `num_switches` switches (Waxman
+    /// by default, see [`ExperimentConfig::large_grid`]): 50 demanded
+    /// states, one network, h = 3, 200 Monte Carlo rounds, all cores.
+    /// These settings keep a 1k-switch end-to-end run in seconds and a
+    /// 10k-switch run in minutes; push any knob back up explicitly when
+    /// you need more.
     #[must_use]
     pub fn large(num_switches: usize) -> Self {
-        ExperimentConfig {
-            topology: TopologyConfig {
-                num_switches,
-                num_user_pairs: 50,
-                ..TopologyConfig::default()
-            },
-            networks: 1,
-            h: 3,
-            mc_rounds: 200,
-            threads: 0,
-            ..ExperimentConfig::default()
-        }
+        let mut c = preset("large-1k");
+        c.topology.num_switches = num_switches;
+        c
     }
 
     /// [`ExperimentConfig::large`] on the deterministic grid lattice —
@@ -114,28 +91,42 @@ impl ExperimentConfig {
     }
 }
 
-/// The named large-topology presets exercised by the `figures` binary
-/// (`--preset NAME`) and the scale benchmarks.
-#[must_use]
-pub fn scale_presets() -> Vec<(&'static str, ExperimentConfig)> {
-    vec![
-        ("large-1k", ExperimentConfig::large(1_000)),
-        ("large-1k-grid", ExperimentConfig::large_grid(1_000)),
-        ("large-5k", ExperimentConfig::large(5_000)),
-        ("large-5k-grid", ExperimentConfig::large_grid(5_000)),
-        ("large-10k", ExperimentConfig::large(10_000)),
-        ("large-10k-grid", ExperimentConfig::large_grid(10_000)),
-    ]
+/// A world from `fusion_serve`'s preset table plus the batch fields a
+/// preset adds to it: networks averaged, Monte Carlo rounds and threads.
+fn from_world(world: ServePreset) -> ExperimentConfig {
+    let (networks, mc_rounds, threads) = match world.name {
+        "default" => (5, 1_500, 1),
+        "quick" => (2, 400, 1),
+        name => {
+            assert!(name.starts_with("large-"), "no batch fields for {name}");
+            (1, 200, 0)
+        }
+    };
+    ExperimentConfig {
+        topology: world.topology,
+        network: world.network,
+        networks,
+        h: world.h,
+        mc_rounds,
+        seed: world.seed,
+        threads,
+    }
 }
 
-/// The named base presets: the paper's §V-A configuration and the
-/// scaled-down smoke configuration.
+/// The named preset, which the preset table must hold.
+fn preset(name: &str) -> ExperimentConfig {
+    resolve_preset(name).unwrap_or_else(|| panic!("the preset table names {name}"))
+}
+
+/// The named large-topology presets (`large-*`) exercised by the
+/// `figures` binary (`--preset NAME`) and the scale probes.
 #[must_use]
-pub fn base_presets() -> Vec<(&'static str, ExperimentConfig)> {
-    vec![
-        ("default", ExperimentConfig::default()),
-        ("quick", ExperimentConfig::quick()),
-    ]
+pub fn scale_presets() -> Vec<(&'static str, ExperimentConfig)> {
+    fusion_serve::presets()
+        .into_iter()
+        .filter(|w| w.name.starts_with("large-"))
+        .map(|w| (w.name, from_world(w)))
+        .collect()
 }
 
 /// Every canonical preset name, base presets first then the large-scale
@@ -143,22 +134,13 @@ pub fn base_presets() -> Vec<(&'static str, ExperimentConfig)> {
 /// (`sweep list-presets`).
 #[must_use]
 pub fn preset_names() -> Vec<&'static str> {
-    base_presets()
-        .iter()
-        .map(|(n, _)| *n)
-        .chain(scale_presets().iter().map(|(n, _)| *n))
-        .collect()
+    fusion_serve::presets().iter().map(|w| w.name).collect()
 }
 
-/// Resolves a canonical preset name ([`base_presets`] or
-/// [`scale_presets`]) to its configuration.
+/// Resolves a canonical preset name to its configuration.
 #[must_use]
 pub fn resolve_preset(name: &str) -> Option<ExperimentConfig> {
-    base_presets()
-        .into_iter()
-        .chain(scale_presets())
-        .find(|(n, _)| *n == name)
-        .map(|(_, c)| c)
+    fusion_serve::resolve_preset(name).map(from_world)
 }
 
 /// The five algorithm variants of the evaluation.
@@ -216,32 +198,16 @@ impl Algorithm {
     }
 
     /// Routes `demands` on `net` with this algorithm.
+    ///
+    /// The pipeline-based algorithms shard candidate construction over
+    /// `threads` workers (the plan is byte-identical for any count) and
+    /// record their `alg2.*`/`alg3.*` counters into `registry`. The
+    /// baselines route serially and record nothing, whatever `threads`
+    /// and `registry` say: B1 routes demands one by one against a
+    /// running capacity remainder, and a sweep row's counter columns
+    /// belong to ALG-N-FUSION.
     #[must_use]
-    pub fn route(self, net: &QuantumNetwork, demands: &[Demand], h: usize) -> NetworkPlan {
-        self.route_threads(net, demands, h, 1)
-    }
-
-    /// [`Algorithm::route`] with candidate construction sharded over
-    /// `threads` workers for the pipeline-based algorithms (the plan is
-    /// bit-identical to the serial one). The B1 baseline routes demands
-    /// sequentially against a running capacity remainder, so it stays
-    /// serial regardless.
-    #[must_use]
-    pub fn route_threads(
-        self,
-        net: &QuantumNetwork,
-        demands: &[Demand],
-        h: usize,
-        threads: usize,
-    ) -> NetworkPlan {
-        self.route_threads_counted(net, demands, h, threads, &Registry::disabled())
-    }
-
-    /// [`Algorithm::route_threads`] with routing counters recorded into
-    /// `registry` for the pipeline-based algorithms. The baselines have no
-    /// instrumented variants and route uncounted regardless of `registry`.
-    #[must_use]
-    pub fn route_threads_counted(
+    pub fn route(
         self,
         net: &QuantumNetwork,
         demands: &[Demand],
@@ -249,60 +215,28 @@ impl Algorithm {
         threads: usize,
         registry: &Registry,
     ) -> NetworkPlan {
+        let pipeline = |base: RoutingConfig| {
+            let config = RoutingConfig { h, ..base };
+            route(net, demands, &config, &net.capacities(), threads, registry).plan
+        };
         match self {
-            Algorithm::AlgNFusion => {
-                route_with_capacity_counted(
-                    net,
-                    demands,
-                    &RoutingConfig {
-                        h,
-                        ..RoutingConfig::n_fusion()
-                    },
-                    &net.capacities(),
-                    threads,
-                    registry,
-                )
-                .plan
-            }
+            Algorithm::AlgNFusion => pipeline(RoutingConfig::n_fusion()),
             Algorithm::QCast => route_qcast(net, demands, h),
             Algorithm::QCastN => route_qcast_n(net, demands, h),
             Algorithm::B1 => route_b1(net, demands, DEFAULT_REGION_PATHS),
-            Algorithm::Alg3Only => {
-                route_with_capacity_counted(
-                    net,
-                    demands,
-                    &RoutingConfig {
-                        h,
-                        ..RoutingConfig::n_fusion_without_alg4()
-                    },
-                    &net.capacities(),
-                    threads,
-                    registry,
-                )
-                .plan
-            }
+            Algorithm::Alg3Only => pipeline(RoutingConfig::n_fusion_without_alg4()),
         }
     }
 }
 
 /// Entanglement rate of `algorithm` on one network instance: Monte Carlo
 /// when `mc_rounds > 0`, analytic otherwise. Honors `config.threads`
-/// (`threads == 1` reproduces the historical serial RNG streams exactly).
+/// (`threads == 1` reproduces the historical serial RNG streams exactly)
+/// and records routing and Monte Carlo counters into `registry`. Counter
+/// totals are identical for any `threads` setting that divides
+/// `config.mc_rounds` (see [`estimate_plan`]).
 #[must_use]
 pub fn measure_rate(
-    config: &ExperimentConfig,
-    algorithm: Algorithm,
-    net: &QuantumNetwork,
-    demands: &[Demand],
-) -> f64 {
-    measure_rate_counted(config, algorithm, net, demands, &Registry::disabled())
-}
-
-/// [`measure_rate`] with routing and Monte Carlo counters recorded into
-/// `registry`. Counter totals are identical for any `threads` setting that
-/// divides `config.mc_rounds` (see `estimate_plan_parallel_counted`).
-#[must_use]
-pub fn measure_rate_counted(
     config: &ExperimentConfig,
     algorithm: Algorithm,
     net: &QuantumNetwork,
@@ -310,28 +244,12 @@ pub fn measure_rate_counted(
     registry: &Registry,
 ) -> f64 {
     let threads = config.resolved_threads();
-    let plan = algorithm.route_threads_counted(net, demands, config.h, threads, registry);
+    let plan = algorithm.route(net, demands, config.h, threads, registry);
     if config.mc_rounds == 0 {
         plan.total_rate(net)
-    } else if threads > 1 {
-        fusion_sim::evaluate::estimate_plan_parallel_counted(
-            net,
-            &plan,
-            config.mc_rounds,
-            config.seed,
-            threads,
-            &McCounters::from_registry(registry),
-        )
-        .total_rate()
     } else {
-        estimate_plan_counted(
-            net,
-            &plan,
-            config.mc_rounds,
-            config.seed,
-            &McCounters::from_registry(registry),
-        )
-        .total_rate()
+        let mc = McCounters::from_registry(registry);
+        estimate_plan(net, &plan, config.mc_rounds, config.seed, threads, &mc).total_rate()
     }
 }
 
@@ -348,7 +266,7 @@ pub fn mean_rate(
     for i in 0..config.networks {
         let (mut net, demands) = config.instance(i);
         mutate(&mut net);
-        total += measure_rate(config, algorithm, &net, &demands);
+        total += measure_rate(config, algorithm, &net, &demands, &Registry::disabled());
     }
     total / config.networks as f64
 }
@@ -382,20 +300,6 @@ pub fn instance_stats(net: &QuantumNetwork) -> InstanceStats {
         nodes: g.node_count(),
         edges: g.edge_count(),
     }
-}
-
-/// Applies a generator-kind override, keeping everything else default.
-#[must_use]
-pub fn with_generator(config: &ExperimentConfig, kind: GeneratorKind) -> ExperimentConfig {
-    let mut out = config.clone();
-    out.topology.kind = kind;
-    out
-}
-
-/// Default physics constants, re-exported for the figure runners.
-#[must_use]
-pub fn default_physics() -> PhysicsParams {
-    PhysicsParams::default()
 }
 
 #[cfg(test)]
@@ -445,6 +349,25 @@ mod tests {
     }
 
     #[test]
+    fn serve_instances_match_bench_instances() {
+        // Same preset name, same instance index => the exact same network:
+        // replay results on a serve preset are directly comparable to the
+        // batch experiments of the same name.
+        let serve_preset = fusion_serve::resolve_preset("quick").unwrap();
+        let bench_config = resolve_preset("quick").unwrap();
+        for i in 0..2 {
+            let from_serve = serve_preset.network_instance(i);
+            let (from_bench, _) = bench_config.instance(i);
+            assert_eq!(from_serve.node_count(), from_bench.node_count());
+            assert_eq!(
+                from_serve.graph().edge_count(),
+                from_bench.graph().edge_count()
+            );
+            assert_eq!(from_serve.capacities(), from_bench.capacities());
+        }
+    }
+
+    #[test]
     fn algorithm_names_round_trip() {
         for algo in Algorithm::ALL {
             assert_eq!(Algorithm::from_name(algo.name()), Some(algo));
@@ -462,7 +385,7 @@ mod tests {
         let c = ExperimentConfig::quick();
         let (net, demands) = c.instance(0);
         for algo in Algorithm::ALL {
-            let plan = algo.route(&net, &demands, c.h);
+            let plan = algo.route(&net, &demands, c.h, 1, &Registry::disabled());
             let rate = plan.total_rate(&net);
             assert!(
                 (0.0..=demands.len() as f64 + 1e-9).contains(&rate),
@@ -504,7 +427,13 @@ mod tests {
             150 + 16,
             "grid switches plus attached users"
         );
-        let rate = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let rate = measure_rate(
+            &c,
+            Algorithm::AlgNFusion,
+            &net,
+            &demands,
+            &Registry::disabled(),
+        );
         assert!(rate > 0.0, "grid network must route something");
     }
 
@@ -515,9 +444,10 @@ mod tests {
         let mut c = ExperimentConfig::quick();
         c.mc_rounds = 0;
         let (net, demands) = c.instance(0);
-        let serial = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let disabled = Registry::disabled();
+        let serial = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands, &disabled);
         c.threads = 0;
-        let parallel = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands);
+        let parallel = measure_rate(&c, Algorithm::AlgNFusion, &net, &demands, &disabled);
         assert_eq!(serial, parallel);
     }
 

@@ -104,172 +104,92 @@ pub struct CandidatePath {
     pub metric: Metric,
 }
 
-/// Runs Algorithm 2 for every demand: for each width from `max_width` down
-/// to 1, finds up to `h` highest-rate loopless paths via Yen deviations
-/// over Algorithm 1.
+/// Runs Algorithm 2 for every demand: for each width from
+/// `query.max_width` down to 1, finds up to `query.h` highest-rate
+/// loopless paths via Yen deviations over Algorithm 1, scored with
+/// `query.mode`.
 ///
 /// `capacity` is the per-node qubit budget used for feasibility during
 /// selection (the paper uses the full capacity here; B1 passes its running
 /// remainder).
 ///
-/// This is the width-descent engine (see the module docs); its output is
-/// byte-identical to [`paths_selection_reference`].
+/// This is a [`SelectionEngine`] used once: one context refresh for
+/// `capacity`, then the width descent per demand (see the module docs).
+/// With `threads > 1` the demands are sharded round-robin over that many
+/// workers: worker 0 runs on the engine's own state, and every extra
+/// worker borrows the same read-only context with its own descent state.
+/// Every demand is evaluated against the same `capacity` (contention is
+/// resolved later by Algorithm 3), so demands are independent and the
+/// output is byte-identical for any thread count — and to
+/// [`paths_selection_reference`].
+///
+/// Search and selection counters record into `registry` (under
+/// `alg2.*`); pass [`Registry::disabled`] to record nothing. Counters
+/// never influence the output, and their totals do not depend on
+/// `threads`: each demand's counts are a pure function of that demand's
+/// search, and atomic adds commute.
 ///
 /// # Panics
 ///
-/// Panics if `h == 0`, `max_width == 0`, or `capacity` is shorter than
-/// the node count.
+/// Panics if `query.h == 0`, `query.max_width == 0`, `threads == 0`, or
+/// `capacity` is shorter than the node count.
 #[must_use]
 pub fn paths_selection(
     net: &QuantumNetwork,
     demands: &[Demand],
     capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
-) -> Vec<CandidatePath> {
-    paths_selection_counted(
-        net,
-        demands,
-        capacity,
-        h,
-        max_width,
-        mode,
-        &Registry::disabled(),
-    )
-}
-
-/// [`paths_selection`] with search/selection counters recording into
-/// `registry`. Counters never influence the output — it stays
-/// byte-identical to the uncounted run.
-///
-/// # Panics
-///
-/// As [`paths_selection`].
-#[must_use]
-pub fn paths_selection_counted(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
-    registry: &Registry,
-) -> Vec<CandidatePath> {
-    assert!(h > 0, "need at least one candidate per width");
-    assert!(max_width > 0, "max width must be positive");
-    assert!(
-        capacity.len() >= net.node_count(),
-        "capacity vector too short"
-    );
-    let ctx = DescentContext::new(net, capacity, max_width);
-    let mut state = DescentState::with_registry(net.node_count(), registry);
-    let per_demand: Vec<Vec<Vec<CandidatePath>>> = demands
-        .iter()
-        .map(|d| demand_candidates(net, d, h, max_width, mode, &ctx, &mut state))
-        .collect();
-    assemble_width_major(per_demand, max_width)
-}
-
-/// Parallel variant of [`paths_selection`]: demands are sharded
-/// round-robin over `threads` workers, each with its own search scratch
-/// and descent state (the feasibility view and channel tables are shared
-/// read-only). Candidate construction evaluates every demand against the
-/// *full* capacity (contention is resolved later by Algorithm 3), so
-/// demands are independent and the output is bit-identical to the serial
-/// version.
-///
-/// # Panics
-///
-/// Panics if `h == 0`, `max_width == 0`, `threads == 0`, or `capacity` is
-/// shorter than the node count.
-#[must_use]
-pub fn paths_selection_parallel(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
-    threads: usize,
-) -> Vec<CandidatePath> {
-    paths_selection_parallel_counted(
-        net,
-        demands,
-        capacity,
-        h,
-        max_width,
-        mode,
-        threads,
-        &Registry::disabled(),
-    )
-}
-
-/// [`paths_selection_parallel`] with counters recording into `registry`.
-/// Counter totals are independent of the worker sharding: each demand's
-/// counts are a pure function of that demand's search, and atomic adds
-/// commute, so any thread count yields the same snapshot.
-///
-/// # Panics
-///
-/// As [`paths_selection_parallel`].
-#[must_use]
-#[allow(clippy::too_many_arguments)]
-pub fn paths_selection_parallel_counted(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    capacity: &[u32],
-    h: usize,
-    max_width: u32,
-    mode: SwapMode,
+    query: SelectionQuery,
     threads: usize,
     registry: &Registry,
 ) -> Vec<CandidatePath> {
     assert!(threads > 0, "need at least one worker");
+    let SelectionQuery { h, max_width, mode } = query;
+    let mut engine = SelectionEngine {
+        ctx: DescentContext::default(),
+        state: DescentState::with_registry(net.node_count(), registry),
+    };
+    engine.prepare(net, capacity, query);
+    let SelectionEngine { ctx, state } = &mut engine;
+    let ctx = &*ctx;
+    let select = |demand: &Demand, state: &mut DescentState| {
+        demand_candidates(net, demand, h, max_width, mode, ctx, state)
+    };
     if threads == 1 || demands.len() <= 1 {
-        return paths_selection_counted(net, demands, capacity, h, max_width, mode, registry);
+        let per_demand = demands.iter().map(|d| select(d, state)).collect();
+        return assemble_width_major(per_demand, max_width);
     }
-    assert!(h > 0, "need at least one candidate per width");
-    assert!(max_width > 0, "max width must be positive");
-    assert!(
-        capacity.len() >= net.node_count(),
-        "capacity vector too short"
-    );
 
-    let ctx = DescentContext::new(net, capacity, max_width);
-    let ctx = &ctx;
-    let mut slots: Vec<Option<Vec<Vec<CandidatePath>>>> = vec![None; demands.len()];
+    // Worker `t` takes demands `t, t + threads, ...`.
+    let shard = |t: usize, state: &mut DescentState| -> Vec<(usize, Vec<Vec<CandidatePath>>)> {
+        demands
+            .iter()
+            .enumerate()
+            .skip(t)
+            .step_by(threads)
+            .map(|(di, d)| (di, select(d, state)))
+            .collect()
+    };
+    let mut per_demand = vec![Vec::new(); demands.len()];
     crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..threads.min(demands.len()))
+        let handles: Vec<_> = (1..threads.min(demands.len()))
             .map(|t| {
                 scope.spawn(move |_| {
-                    let mut state = DescentState::with_registry(net.node_count(), registry);
-                    demands
-                        .iter()
-                        .enumerate()
-                        .skip(t)
-                        .step_by(threads)
-                        .map(|(di, d)| {
-                            let cands =
-                                demand_candidates(net, d, h, max_width, mode, ctx, &mut state);
-                            (di, cands)
-                        })
-                        .collect::<Vec<_>>()
+                    shard(
+                        t,
+                        &mut DescentState::with_registry(net.node_count(), registry),
+                    )
                 })
             })
             .collect();
-        for handle in handles {
-            for (di, cands) in handle.join().expect("selection workers must not panic") {
-                slots[di] = Some(cands);
-            }
+        let own = shard(0, state);
+        let joined = handles
+            .into_iter()
+            .flat_map(|handle| handle.join().expect("selection workers must not panic"));
+        for (di, cands) in own.into_iter().chain(joined) {
+            per_demand[di] = cands;
         }
     })
     .expect("selection scope must not panic");
-
-    let per_demand = slots
-        .into_iter()
-        .map(|s| s.expect("every demand was assigned to a worker"))
-        .collect();
     assemble_width_major(per_demand, max_width)
 }
 
@@ -295,12 +215,6 @@ struct DescentContext {
 }
 
 impl DescentContext {
-    fn new(net: &QuantumNetwork, capacity: &[u32], max_width: u32) -> Self {
-        let mut ctx = DescentContext::default();
-        ctx.refresh(net, capacity, max_width);
-        ctx
-    }
-
     /// Rebuilds the feasibility view for `capacity` and extends the
     /// channel tables to cover `max_width`. Channel success, the arc view
     /// and the switch flags depend only on the immutable network, so they
@@ -664,9 +578,9 @@ fn k_best_paths_descent(
     accepted.into_iter().map(|(p, _)| p).collect()
 }
 
-/// The per-call knobs of [`SelectionEngine::select_demand`]: the
-/// candidate budget, the width bound the descent starts from, and the
-/// swap mode scoring candidates.
+/// The per-call knobs of Algorithm 2 ([`paths_selection`] and
+/// [`SelectionEngine::select_demand`]): the candidate budget, the width
+/// bound the descent starts from, and the swap mode scoring candidates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SelectionQuery {
     /// Candidate paths per (demand, width) — Algorithm 2's `h`.
@@ -681,14 +595,14 @@ pub struct SelectionQuery {
 /// at a time against changing capacity vectors — the serve layer's
 /// admission path.
 ///
-/// The batch entry points rebuild the descent setup on every call: the
-/// feasibility view, the per-width channel-success tables, the search
-/// arena and the reachability view. The engine keeps all of them alive
-/// between calls, so an admission pays only the O(n) feasibility refresh
-/// for its capacity vector plus its own searches; channel tables are
-/// extended on demand and never rebuilt.
+/// [`paths_selection`] builds an engine per call: the feasibility view,
+/// the per-width channel-success tables, the search arena and the
+/// reachability view. A kept engine holds all of them between calls, so
+/// an admission pays only the O(n) feasibility refresh for its capacity
+/// vector plus its own searches; channel tables are extended on demand
+/// and never rebuilt.
 ///
-/// Each call runs exactly the code path of the batch engines, so its
+/// Each call runs exactly the code path of [`paths_selection`], so its
 /// output equals the single-demand [`paths_selection`] result against the
 /// same capacity vector, byte for byte.
 #[derive(Debug, Clone, Default)]
@@ -714,11 +628,22 @@ impl SelectionEngine {
         self.state.counters = SelectionCounters::from_registry(registry);
     }
 
+    /// Checks `query` and `capacity` and refreshes the context for
+    /// `capacity`.
+    fn prepare(&mut self, net: &QuantumNetwork, capacity: &[u32], query: SelectionQuery) {
+        assert!(query.h > 0, "need at least one candidate per width");
+        assert!(query.max_width > 0, "max width must be positive");
+        assert!(
+            capacity.len() >= net.node_count(),
+            "capacity vector too short"
+        );
+        self.ctx.refresh(net, capacity, query.max_width);
+    }
+
     /// Runs the width descent for one demand against `capacity` and
     /// returns its candidates in the pipeline's canonical order
     /// (descending width) — the same output as
-    /// `paths_selection(net, &[*demand], capacity, query.h,
-    /// query.max_width, query.mode)`.
+    /// `paths_selection(net, &[*demand], capacity, query, 1, registry)`.
     ///
     /// # Panics
     ///
@@ -731,15 +656,9 @@ impl SelectionEngine {
         capacity: &[u32],
         query: SelectionQuery,
     ) -> Vec<CandidatePath> {
+        self.prepare(net, capacity, query);
         let SelectionQuery { h, max_width, mode } = query;
-        assert!(h > 0, "need at least one candidate per width");
-        assert!(max_width > 0, "max width must be positive");
-        assert!(
-            capacity.len() >= net.node_count(),
-            "capacity vector too short"
-        );
         let SelectionEngine { ctx, state } = self;
-        ctx.refresh(net, capacity, max_width);
         demand_candidates(net, demand, h, max_width, mode, ctx, state)
             .into_iter()
             .flatten()
@@ -930,6 +849,19 @@ mod tests {
     use super::*;
     use crate::demand::DemandId;
 
+    /// Serial, uncounted [`paths_selection`].
+    fn select(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        capacity: &[u32],
+        h: usize,
+        max_width: u32,
+        mode: SwapMode,
+    ) -> Vec<CandidatePath> {
+        let query = SelectionQuery { h, max_width, mode };
+        paths_selection(net, demands, capacity, query, 1, &Registry::disabled())
+    }
+
     /// Three disjoint routes of increasing length between one user pair.
     fn triple_route() -> (QuantumNetwork, Demand, Vec<NodeId>) {
         let mut b = QuantumNetwork::builder();
@@ -1015,7 +947,7 @@ mod tests {
     fn selection_covers_all_widths_and_demands() {
         let (net, demand, _) = triple_route();
         let caps = net.capacities();
-        let candidates = paths_selection(&net, &[demand], &caps, 2, 3, SwapMode::NFusion);
+        let candidates = select(&net, &[demand], &caps, 2, 3, SwapMode::NFusion);
         // Every returned width is in 1..=3 and has at most h = 2 entries.
         for w in 1..=3u32 {
             let count = candidates.iter().filter(|c| c.width == w).count();
@@ -1023,7 +955,7 @@ mod tests {
             assert!(count >= 1, "width {w} missing");
         }
         // Widths above capacity/2 yield nothing.
-        let too_wide = paths_selection(&net, &[demand], &caps, 2, 10, SwapMode::NFusion);
+        let too_wide = select(&net, &[demand], &caps, 2, 10, SwapMode::NFusion);
         assert!(too_wide.iter().all(|c| c.width <= 5));
     }
 
@@ -1031,8 +963,8 @@ mod tests {
     fn candidate_metrics_match_mode() {
         let (net, demand, _) = triple_route();
         let caps = net.capacities();
-        let nf = paths_selection(&net, &[demand], &caps, 1, 1, SwapMode::NFusion);
-        let cl = paths_selection(&net, &[demand], &caps, 1, 1, SwapMode::Classic);
+        let nf = select(&net, &[demand], &caps, 1, 1, SwapMode::NFusion);
+        let cl = select(&net, &[demand], &caps, 1, 1, SwapMode::Classic);
         assert_eq!(nf[0].path, cl[0].path);
         let wp = WidthedPath::uniform(nf[0].path.clone(), 1);
         assert_eq!(nf[0].metric, SwapMode::NFusion.score(&net, &wp));
@@ -1056,7 +988,7 @@ mod tests {
             let demands = Demand::from_topology(&topo);
             let caps = net.capacities();
             for mode in [SwapMode::NFusion, SwapMode::Classic] {
-                let descent = paths_selection(&net, &demands, &caps, 3, 5, mode);
+                let descent = select(&net, &demands, &caps, 3, 5, mode);
                 let reference = paths_selection_reference(&net, &demands, &caps, 3, 5, mode);
                 assert_eq!(descent, reference, "seed {seed}, mode {mode:?}");
             }
@@ -1073,7 +1005,7 @@ mod tests {
         caps[n[3].index()] = 3; // route B limited to width 1
         let demands = [demand];
         for h in [1, 2, 4] {
-            let descent = paths_selection(&net, &demands, &caps, h, 4, SwapMode::NFusion);
+            let descent = select(&net, &demands, &caps, h, 4, SwapMode::NFusion);
             let reference =
                 paths_selection_reference(&net, &demands, &caps, h, 4, SwapMode::NFusion);
             assert_eq!(descent, reference, "h = {h}");
@@ -1095,17 +1027,25 @@ mod tests {
         let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
         let demands = Demand::from_topology(&topo);
         let caps = net.capacities();
-        let serial = paths_selection(&net, &demands, &caps, 3, 4, SwapMode::NFusion);
+        let query = SelectionQuery {
+            h: 3,
+            max_width: 4,
+            mode: SwapMode::NFusion,
+        };
+        let run = |threads: usize| {
+            let registry = Registry::enabled();
+            let out = paths_selection(&net, &demands, &caps, query, threads, &registry);
+            (out, registry.snapshot())
+        };
+        let (serial, serial_counts) = run(1);
+        assert_eq!(
+            serial,
+            paths_selection_reference(&net, &demands, &caps, 3, 4, SwapMode::NFusion)
+        );
         for threads in [2, 3, 8, 32] {
-            let parallel =
-                paths_selection_parallel(&net, &demands, &caps, 3, 4, SwapMode::NFusion, threads);
-            assert_eq!(serial.len(), parallel.len(), "threads={threads}");
-            for (s, p) in serial.iter().zip(&parallel) {
-                assert_eq!(s.demand, p.demand, "threads={threads}");
-                assert_eq!(s.path, p.path, "threads={threads}");
-                assert_eq!(s.width, p.width, "threads={threads}");
-                assert_eq!(s.metric, p.metric, "threads={threads}");
-            }
+            let (parallel, counts) = run(threads);
+            assert_eq!(parallel, serial, "threads={threads}");
+            assert_eq!(counts, serial_counts, "threads={threads}: counters");
         }
     }
 
@@ -1121,7 +1061,7 @@ mod tests {
             mode: SwapMode::NFusion,
         };
         let batch = |caps: &[u32], max_width: u32| {
-            paths_selection(
+            select(
                 &net,
                 std::slice::from_ref(&demand),
                 caps,
@@ -1227,8 +1167,7 @@ mod tests {
             };
             for demand in &demands {
                 let selected = engine.select_demand(&net, demand, caps, query);
-                let batch =
-                    paths_selection(&net, std::slice::from_ref(demand), caps, 3, max_width, mode);
+                let batch = select(&net, std::slice::from_ref(demand), caps, 3, max_width, mode);
                 assert_eq!(
                     selected, batch,
                     "step {step}: engine must equal batch for {:?}",
@@ -1258,7 +1197,7 @@ mod tests {
         let net = b.build();
         let demand = Demand::new(DemandId::new(0), s, d);
         let caps = net.capacities();
-        assert!(paths_selection(&net, &[demand], &caps, 3, 2, SwapMode::NFusion).is_empty());
+        assert!(select(&net, &[demand], &caps, 3, 2, SwapMode::NFusion).is_empty());
     }
 
     proptest::proptest! {

@@ -54,55 +54,24 @@ pub struct MergeOutcome {
     pub remaining: Vec<u32>,
 }
 
-/// Runs Algorithm 3 over the candidate set.
+/// Runs Algorithm 3 over the candidate set against a starting qubit
+/// budget: the network's own [`QuantumNetwork::capacities`] for a batch
+/// run, or the residual capacity left by live plans when the service
+/// layer merges a new arrival.
 ///
 /// With `share_edges` set (n-fusion), paths of the same demand may share
 /// hops, merging into flow-like graphs; without it every path pays for its
 /// own qubits — mandatory under [`SwapMode::Classic`], where BSM switches
 /// cannot fuse more than two links per state, and available as an ablation
-/// under n-fusion.
-#[must_use]
-pub fn paths_merge(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-) -> MergeOutcome {
-    paths_merge_bounded(net, demands, candidates, mode, share_edges, None)
-}
-
-/// [`paths_merge`] with an optional cap on accepted routes per demand
-/// (classic swapping routes one major path per request, following Q-CAST).
-#[must_use]
-pub fn paths_merge_bounded(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-    max_paths_per_demand: Option<usize>,
-) -> MergeOutcome {
-    paths_merge_bounded_with_capacity(
-        net,
-        demands,
-        candidates,
-        mode,
-        share_edges,
-        max_paths_per_demand,
-        &net.capacities(),
-    )
-}
-
-/// [`paths_merge_bounded`] against an explicit starting qubit budget
-/// instead of the network's built-in capacities — the service layer merges
-/// new arrivals against the residual capacity left by live plans.
+/// under n-fusion. `max_paths_per_demand` optionally caps the accepted
+/// routes per demand (classic swapping routes one major path per request,
+/// following Q-CAST).
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is shorter than the node count.
 #[must_use]
-pub fn paths_merge_bounded_with_capacity(
+pub fn paths_merge(
     net: &QuantumNetwork,
     demands: &[Demand],
     candidates: &[CandidatePath],
@@ -212,9 +181,22 @@ pub fn paths_merge_bounded_with_capacity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::alg2::paths_selection;
+    use crate::algorithms::alg2::{paths_selection, SelectionQuery};
     use crate::demand::DemandId;
     use fusion_graph::{Metric, Path};
+    use fusion_telemetry::Registry;
+
+    /// Unbounded merge on the network's own capacities.
+    fn merge(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        candidates: &[CandidatePath],
+        mode: SwapMode,
+        share_edges: bool,
+    ) -> MergeOutcome {
+        let caps = net.capacities();
+        paths_merge(net, demands, candidates, mode, share_edges, None, &caps)
+    }
 
     /// S and D joined by two disjoint 2-hop routes, plus a second demand
     /// sharing the same switches.
@@ -252,8 +234,13 @@ mod tests {
             Demand::new(DemandId::new(1), n[2], n[3]),
         ];
         let caps = net.capacities();
-        let candidates = paths_selection(&net, &demands, &caps, 3, 2, SwapMode::NFusion);
-        let outcome = paths_merge(&net, &demands, &candidates, SwapMode::NFusion, true);
+        let query = SelectionQuery {
+            h: 3,
+            max_width: 2,
+            mode: SwapMode::NFusion,
+        };
+        let candidates = paths_selection(&net, &demands, &caps, query, 1, &Registry::disabled());
+        let outcome = merge(&net, &demands, &candidates, SwapMode::NFusion, true);
         // Every switch's spend must equal capacity - remaining.
         for node in net.graph().node_ids().filter(|&v| net.is_switch(v)) {
             let spent: u32 = outcome.plans.iter().map(|p| p.flow.qubits_at(node)).sum();
@@ -275,7 +262,7 @@ mod tests {
         // candidates whose middle hop coincides.
         let c1 = cand(0, vec![n[0], n[4], n[5], n[1]], 2, 0.9);
         let c2 = cand(0, vec![n[0], n[4], n[5], n[1]], 1, 0.5);
-        let outcome = paths_merge(&net, &demands, &[c1, c2], SwapMode::NFusion, true);
+        let outcome = merge(&net, &demands, &[c1, c2], SwapMode::NFusion, true);
         // The width-1 copy is fully shared: only one path accepted.
         assert_eq!(outcome.plans[0].paths.len(), 1);
         assert_eq!(outcome.plans[0].flow.undirected_width(n[4], n[5]), Some(2));
@@ -289,7 +276,7 @@ mod tests {
         let demands = [Demand::new(DemandId::new(0), n[0], n[1])];
         let c1 = cand(0, vec![n[0], n[4], n[5], n[1]], 1, 0.9);
         let c2 = cand(0, vec![n[0], n[4], n[5], n[1]], 1, 0.5);
-        let outcome = paths_merge(&net, &demands, &[c1, c2], SwapMode::Classic, true);
+        let outcome = merge(&net, &demands, &[c1, c2], SwapMode::Classic, true);
         // Capacity 4 per switch: each width-1 path pins 2 qubits per
         // intermediate switch, so both fit — but with fresh qubits.
         assert_eq!(outcome.plans[0].paths.len(), 2);
@@ -309,7 +296,7 @@ mod tests {
         ];
         let c1 = cand(0, vec![n[0], n[4], n[5], n[1]], 2, 0.9);
         let c2 = cand(1, vec![n[2], n[4], n[5], n[3]], 2, 0.8);
-        let outcome = paths_merge(&net, &demands, &[c1, c2], SwapMode::NFusion, true);
+        let outcome = merge(&net, &demands, &[c1, c2], SwapMode::NFusion, true);
         assert_eq!(outcome.plans[0].paths.len(), 1, "first candidate fits");
         assert!(outcome.plans[1].paths.is_empty(), "switches are exhausted");
     }
@@ -323,7 +310,7 @@ mod tests {
         ];
         let weak = cand(0, vec![n[0], n[4], n[5], n[1]], 2, 0.2);
         let strong = cand(1, vec![n[2], n[4], n[5], n[3]], 2, 0.7);
-        let outcome = paths_merge(&net, &demands, &[weak, strong], SwapMode::NFusion, true);
+        let outcome = merge(&net, &demands, &[weak, strong], SwapMode::NFusion, true);
         assert!(outcome.plans[0].paths.is_empty());
         assert_eq!(outcome.plans[1].paths.len(), 1);
     }
@@ -336,7 +323,7 @@ mod tests {
         // first (width-major order).
         let w1 = cand(0, vec![n[0], n[4], n[5], n[1]], 1, 0.99);
         let w2 = cand(0, vec![n[0], n[4], n[5], n[1]], 2, 0.5);
-        let outcome = paths_merge(&net, &demands, &[w1, w2], SwapMode::NFusion, true);
+        let outcome = merge(&net, &demands, &[w1, w2], SwapMode::NFusion, true);
         assert_eq!(outcome.plans[0].flow.undirected_width(n[4], n[5]), Some(2));
     }
 
@@ -345,7 +332,7 @@ mod tests {
         let (net, n) = contended_net();
         let demands = [Demand::new(DemandId::new(0), n[0], n[1])];
         let c = cand(0, vec![n[0], n[4], n[5], n[1]], 2, 0.9);
-        let outcome = paths_merge(&net, &demands, &[c], SwapMode::NFusion, true);
+        let outcome = merge(&net, &demands, &[c], SwapMode::NFusion, true);
         assert!(outcome.remaining[n[0].index()] > 1_000_000);
     }
 }

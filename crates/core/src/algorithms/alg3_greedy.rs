@@ -408,69 +408,18 @@ impl GainQueue {
 /// Runs the gain-per-qubit merge over the candidate set through the
 /// incremental gain queue (see the module docs for the design and the
 /// equivalence argument). Parameters are as in
-/// [`super::alg3::paths_merge_bounded`].
-#[must_use]
-pub fn paths_merge_greedy(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-    max_paths_per_demand: Option<usize>,
-) -> MergeOutcome {
-    paths_merge_greedy_with_capacity(
-        net,
-        demands,
-        candidates,
-        mode,
-        share_edges,
-        max_paths_per_demand,
-        &net.capacities(),
-    )
-}
-
-/// [`paths_merge_greedy`] against an explicit starting qubit budget
-/// instead of the network's built-in capacities — the service layer merges
-/// new arrivals against the residual capacity left by live plans. The
-/// capacity vector only seeds `remaining`; scoring arithmetic is
-/// unchanged, so the outcome is byte-identical to running
-/// [`paths_merge_greedy`] on a network whose capacities equal `capacity`.
+/// [`super::alg3::paths_merge`]: `capacity` only seeds `remaining`, so the
+/// outcome against a residual budget is byte-identical to a run on a
+/// network whose capacities equal `capacity`. Queue counters record into
+/// `counters` (`MergeCounters::default()` records nothing); they never
+/// influence the outcome.
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is shorter than the node count.
 #[must_use]
-pub fn paths_merge_greedy_with_capacity(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    candidates: &[CandidatePath],
-    mode: SwapMode,
-    share_edges: bool,
-    max_paths_per_demand: Option<usize>,
-    capacity: &[u32],
-) -> MergeOutcome {
-    paths_merge_greedy_counted(
-        net,
-        demands,
-        candidates,
-        mode,
-        share_edges,
-        max_paths_per_demand,
-        capacity,
-        &MergeCounters::default(),
-    )
-}
-
-/// [`paths_merge_greedy_with_capacity`] with queue counters recording
-/// into `counters`. Counters never influence the outcome — it stays
-/// byte-identical to the uncounted run.
-///
-/// # Panics
-///
-/// As [`paths_merge_greedy_with_capacity`].
-#[must_use]
 #[allow(clippy::too_many_arguments)]
-pub fn paths_merge_greedy_counted(
+pub fn paths_merge_greedy(
     net: &QuantumNetwork,
     demands: &[Demand],
     candidates: &[CandidatePath],
@@ -671,9 +620,54 @@ pub fn paths_merge_greedy_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::alg2::paths_selection;
+    use crate::algorithms::alg2::{paths_selection, SelectionQuery};
     use crate::demand::DemandId;
     use fusion_graph::{Metric, Path};
+
+    /// Uncounted queue merge on the network's own capacities.
+    fn queue_merge(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        candidates: &[CandidatePath],
+        mode: SwapMode,
+        share_edges: bool,
+        limit: Option<usize>,
+    ) -> MergeOutcome {
+        let caps = net.capacities();
+        let counters = MergeCounters::default();
+        paths_merge_greedy(
+            net,
+            demands,
+            candidates,
+            mode,
+            share_edges,
+            limit,
+            &caps,
+            &counters,
+        )
+    }
+
+    /// Serial, uncounted width-descent selection on full capacity.
+    fn select(
+        net: &QuantumNetwork,
+        demands: &[Demand],
+        h: usize,
+        max_width: u32,
+    ) -> Vec<CandidatePath> {
+        let query = SelectionQuery {
+            h,
+            max_width,
+            mode: SwapMode::NFusion,
+        };
+        paths_selection(
+            net,
+            demands,
+            &net.capacities(),
+            query,
+            1,
+            &Registry::disabled(),
+        )
+    }
 
     fn cand(demand: usize, nodes: Vec<NodeId>, width: u32, metric: f64) -> CandidatePath {
         CandidatePath {
@@ -711,7 +705,7 @@ mod tests {
             cand(0, route.clone(), 2, 0.78),
             cand(0, route, 1, 0.52),
         ];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = queue_merge(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         // The first accepted path must be a narrow one (gain per qubit),
         // leaving capacity for Algorithm 4 / other demands.
         let first_width = out.plans[0].paths[0].widths[0];
@@ -727,7 +721,7 @@ mod tests {
         // Width-1: (0.1)^3 q^2 ~ 8e-4; width-5: (0.41)^3 q^2 ~ 0.056.
         // Gain per qubit: wide wins by ~14x even at 5x the cost.
         let candidates = vec![cand(0, route.clone(), 5, 0.056), cand(0, route, 1, 8.1e-4)];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = queue_merge(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         assert_eq!(out.plans[0].paths[0].widths[0], 5);
     }
 
@@ -738,9 +732,8 @@ mod tests {
             Demand::new(DemandId::new(0), n[0], n[3]),
             Demand::new(DemandId::new(1), n[3], n[0]),
         ];
-        let caps = net.capacities();
-        let candidates = paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion);
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let candidates = select(&net, &demands, 3, 5);
+        let out = queue_merge(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         for node in [n[1], n[2]] {
             let spent: u32 = out.plans.iter().map(|p| p.flow.qubits_at(node)).sum();
             assert!(spent <= net.capacity(node));
@@ -754,7 +747,7 @@ mod tests {
         let demands = [Demand::new(DemandId::new(0), n[0], n[3])];
         let route = vec![n[0], n[1], n[2], n[3]];
         let candidates = vec![cand(0, route.clone(), 1, 0.5), cand(0, route, 2, 0.7)];
-        let out = paths_merge_greedy(
+        let out = queue_merge(
             &net,
             &demands,
             &candidates,
@@ -777,7 +770,7 @@ mod tests {
             cand(0, route.clone(), 2, 1.0),
             cand(0, route, 5, 1.0),
         ];
-        let out = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let out = queue_merge(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         // Rate 1.0 after the first width-1 path; everything else is
         // saturation and must be declined.
         assert_eq!(out.plans[0].paths.len(), 1);
@@ -825,7 +818,7 @@ mod tests {
             (vec![via_a.clone(), via_b.clone()], va),
             (vec![via_b, via_a], vb),
         ] {
-            for merge in [paths_merge_greedy, paths_merge_greedy_reference] {
+            for merge in [queue_merge, paths_merge_greedy_reference] {
                 let out = merge(&net, &demands, &cands, SwapMode::NFusion, true, Some(1));
                 assert_eq!(out.plans[0].paths.len(), 1);
                 assert_eq!(
@@ -895,7 +888,7 @@ mod tests {
         let stem = cand(0, vec![s, v1, v2, d], 1, 0.5);
         let branch = cand(0, vec![s, v1, v3, d], 3, 0.4);
         let candidates = vec![stem, branch];
-        let queue = paths_merge_greedy(&net, &demands, &candidates, SwapMode::NFusion, true, None);
+        let queue = queue_merge(&net, &demands, &candidates, SwapMode::NFusion, true, None);
         let reference = paths_merge_greedy_reference(
             &net,
             &demands,
@@ -922,14 +915,13 @@ mod tests {
             Demand::new(DemandId::new(0), n[0], n[3]),
             Demand::new(DemandId::new(1), n[3], n[0]),
         ];
-        let caps = net.capacities();
-        let candidates = paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion);
+        let candidates = select(&net, &demands, 3, 5);
         for (mode, share, limit) in [
             (SwapMode::NFusion, true, None),
             (SwapMode::NFusion, false, None),
             (SwapMode::Classic, false, Some(1)),
         ] {
-            let queue = paths_merge_greedy(&net, &demands, &candidates, mode, share, limit);
+            let queue = queue_merge(&net, &demands, &candidates, mode, share, limit);
             let reference =
                 paths_merge_greedy_reference(&net, &demands, &candidates, mode, share, limit);
             assert_eq!(queue, reference, "mode {mode:?} share {share}");

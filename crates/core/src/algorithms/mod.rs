@@ -19,18 +19,12 @@ pub mod pipeline;
 
 pub use alg1::{largest_rate_path, largest_rate_path_with, PathConstraints};
 pub use alg2::{
-    paths_selection, paths_selection_counted, paths_selection_parallel,
-    paths_selection_parallel_counted, paths_selection_reference, CandidatePath, SelectionCounters,
-    SelectionEngine, SelectionQuery,
+    paths_selection, paths_selection_reference, CandidatePath, SelectionCounters, SelectionEngine,
+    SelectionQuery,
 };
 pub use alg3::{paths_merge, MergeOutcome};
-pub use alg3_greedy::{
-    paths_merge_greedy, paths_merge_greedy_counted, paths_merge_greedy_reference,
-    paths_merge_greedy_with_capacity, MergeCounters,
-};
+pub use alg3_greedy::{paths_merge_greedy, paths_merge_greedy_reference, MergeCounters};
 pub use alg4::assign_remaining;
 pub use pipeline::{
-    alg_n_fusion, route, route_from_candidates_counted, route_from_candidates_traced,
-    route_parallel, route_with_capacity, route_with_capacity_counted, route_with_capacity_traced,
-    MergeOrder, PathSelection, RouteTrace, RoutingConfig,
+    alg_n_fusion, route, route_from_candidates, MergeOrder, RouteTrace, RoutingConfig,
 };

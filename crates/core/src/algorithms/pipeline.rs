@@ -27,21 +27,6 @@ pub enum MergeOrder {
     WidthMajor,
 }
 
-/// Algorithm 2 candidate-construction engine — the selection ablation
-/// knob (the Algorithm 2 counterpart of [`MergeOrder`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum PathSelection {
-    /// One per-demand width descent reusing search state across widths
-    /// (default; [`alg2::paths_selection`]). Differentially tested
-    /// byte-identical to the per-width sweep
-    /// (`crates/core/tests/alg2_differential.rs`).
-    WidthDescent,
-    /// The original independent Yen/Dijkstra sweep per width, retained as
-    /// the differential oracle ([`alg2::paths_selection_reference`]).
-    /// Always serial.
-    PerWidthSweep,
-}
-
 /// Tuning knobs of the routing pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RoutingConfig {
@@ -63,10 +48,6 @@ pub struct RoutingConfig {
     pub max_paths_per_demand: Option<usize>,
     /// Candidate consumption order for Algorithm 3.
     pub merge_order: MergeOrder,
-    /// Candidate-construction engine for Algorithm 2 in batch routing;
-    /// the serve layer always runs the width descent (the two engines
-    /// produce identical candidates).
-    pub path_selection: PathSelection,
     /// Swapping technology.
     pub mode: SwapMode,
 }
@@ -80,7 +61,6 @@ impl Default for RoutingConfig {
             merge_paths: true,
             max_paths_per_demand: None,
             merge_order: MergeOrder::GainPerQubit,
-            path_selection: PathSelection::WidthDescent,
             mode: SwapMode::NFusion,
         }
     }
@@ -114,58 +94,50 @@ impl RoutingConfig {
     }
 }
 
-/// Runs the full routing pipeline and returns the network plan.
-///
-/// # Panics
-///
-/// Panics if `config.h == 0` or the resolved width bound is zero (a network
-/// whose switches have no qubits cannot route anything).
-#[must_use]
-pub fn route(net: &QuantumNetwork, demands: &[Demand], config: &RoutingConfig) -> NetworkPlan {
-    route_parallel(net, demands, config, 1)
+/// The intermediate artifacts of one [`route`] run, kept for the
+/// service-layer equivalence oracles: byte-comparing `candidates` and
+/// `merge` (both `PartialEq`) against a batch run on a capacity-reduced
+/// network is how `crates/serve` proves residual-ledger admission exact.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RouteTrace {
+    /// Algorithm 2's candidate set against the given capacity.
+    pub candidates: Vec<alg2::CandidatePath>,
+    /// Algorithm 3's outcome, snapshotted before Algorithm 4 widens it.
+    pub merge: alg3::MergeOutcome,
+    /// The finished plan (after Algorithm 4, when enabled).
+    pub plan: NetworkPlan,
 }
 
-/// [`route`] with per-demand candidate construction sharded over
-/// `threads` workers (the dominant cost at 1k+ switches). The merge and
-/// leftover-assignment steps stay serial — they resolve cross-demand
-/// contention — so the resulting plan is bit-identical to the serial
-/// pipeline for any thread count.
+/// Runs the full routing pipeline against a per-node qubit budget and
+/// returns the plan with its per-stage intermediates.
 ///
-/// # Panics
+/// `capacity` is the budget every stage threads through: the network's
+/// own [`QuantumNetwork::capacities`] for a batch run, or the residual
+/// capacity left by live plans on the service layer's admission path.
+/// The width bound resolves against it (the largest *residual* switch
+/// budget), so the outcome — candidates, merge, leftover — is
+/// byte-identical to a run on
+/// [`QuantumNetwork::with_capacities`]`(capacity)` with its own
+/// capacities. That equivalence is the service-oracle contract locked
+/// down by `crates/serve/tests/service_oracle.rs`.
 ///
-/// Panics if `config.h == 0`, `threads == 0`, or the resolved width bound
-/// is zero (a network whose switches have no qubits cannot route
-/// anything).
-#[must_use]
-pub fn route_parallel(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    threads: usize,
-) -> NetworkPlan {
-    route_with_capacity(net, demands, config, &net.capacities(), threads)
-}
-
-/// [`route_parallel`] against an explicit per-node qubit budget instead of
-/// the network's built-in capacities — the service layer's admission path:
-/// a new demand is routed with the same pipeline, restricted to the
-/// residual capacity left by live plans.
-///
-/// The width bound resolves against `capacity` (the largest *residual*
-/// switch budget), and every stage threads `capacity` through, so the
-/// outcome — candidates, merge, leftover — is byte-identical to running
-/// [`route_parallel`] on [`QuantumNetwork::with_capacities`]`(capacity)`.
-/// That equivalence is the service-oracle contract locked down by
-/// `crates/serve/tests/service_oracle.rs`.
+/// Candidate construction is sharded over `threads` workers (the
+/// dominant cost at 1k+ switches, see [`alg2::paths_selection`]). The
+/// merge and leftover-assignment steps stay serial — they resolve
+/// cross-demand contention — so the trace is byte-identical for any
+/// thread count. Telemetry counters (the `alg2.*`/`alg3.*` names) record
+/// into `registry`; pass [`Registry::disabled`] to record nothing.
+/// Counters never influence routing.
 ///
 /// # Examples
 ///
-/// Routing one demand against a *reduced* budget — every switch down to
-/// half its qubits, as if live sessions held the rest:
+/// Routing against a *reduced* budget — every switch down to half its
+/// qubits, as if live sessions held the rest:
 ///
 /// ```
-/// use fusion_core::algorithms::{route_with_capacity, RoutingConfig};
+/// use fusion_core::algorithms::{route, RoutingConfig};
 /// use fusion_core::{Demand, NetworkParams, QuantumNetwork};
+/// use fusion_telemetry::Registry;
 /// use fusion_topology::TopologyConfig;
 ///
 /// let topo = TopologyConfig {
@@ -185,14 +157,9 @@ pub fn route_parallel(
 ///         if net.is_switch(v) { c / 2 } else { c }
 ///     })
 ///     .collect();
-/// let plan = route_with_capacity(
-///     &net,
-///     &demands,
-///     &RoutingConfig::n_fusion(),
-///     &residual,
-///     1,
-/// );
-/// assert!(plan.total_rate(&net) >= 0.0);
+/// let config = RoutingConfig::n_fusion();
+/// let trace = route(&net, &demands, &config, &residual, 1, &Registry::disabled());
+/// assert!(trace.plan.total_rate(&net) >= 0.0);
 /// ```
 ///
 /// # Panics
@@ -202,63 +169,7 @@ pub fn route_parallel(
 /// free qubit — callers admitting against a saturated network must check
 /// first).
 #[must_use]
-pub fn route_with_capacity(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    capacity: &[u32],
-    threads: usize,
-) -> NetworkPlan {
-    route_with_capacity_traced(net, demands, config, capacity, threads).plan
-}
-
-/// The intermediate artifacts of one [`route_with_capacity`] run, kept for
-/// the service-layer equivalence oracles: byte-comparing `candidates` and
-/// `merge` (both `PartialEq`) against a batch run on a capacity-reduced
-/// network is how `crates/serve` proves residual-ledger admission exact.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RouteTrace {
-    /// Algorithm 2's candidate set against the given capacity.
-    pub candidates: Vec<alg2::CandidatePath>,
-    /// Algorithm 3's outcome, snapshotted before Algorithm 4 widens it.
-    pub merge: alg3::MergeOutcome,
-    /// The finished plan (after Algorithm 4, when enabled).
-    pub plan: NetworkPlan,
-}
-
-/// [`route_with_capacity`], also returning the per-stage intermediates.
-///
-/// # Panics
-///
-/// As [`route_with_capacity`].
-#[must_use]
-pub fn route_with_capacity_traced(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    capacity: &[u32],
-    threads: usize,
-) -> RouteTrace {
-    route_with_capacity_counted(
-        net,
-        demands,
-        config,
-        capacity,
-        threads,
-        &Registry::disabled(),
-    )
-}
-
-/// [`route_with_capacity_traced`] with telemetry counters recording into
-/// `registry` (the `alg2.*`/`alg3.*` names). Counters never influence
-/// routing: the trace is byte-identical to the uncounted run, for any
-/// thread count.
-///
-/// # Panics
-///
-/// As [`route_with_capacity`].
-#[must_use]
-pub fn route_with_capacity_counted(
+pub fn route(
     net: &QuantumNetwork,
     demands: &[Demand],
     config: &RoutingConfig,
@@ -272,69 +183,31 @@ pub fn route_with_capacity_counted(
     assert!(max_width > 0, "network has no switch qubits to route with");
 
     // Step I: candidate construction against the given capacity.
-    let candidates = match config.path_selection {
-        PathSelection::WidthDescent => alg2::paths_selection_parallel_counted(
-            net,
-            demands,
-            capacity,
-            config.h,
-            max_width,
-            config.mode,
-            threads,
-            registry,
-        ),
-        PathSelection::PerWidthSweep => alg2::paths_selection_reference(
-            net,
-            demands,
-            capacity,
-            config.h,
-            max_width,
-            config.mode,
-        ),
+    let query = alg2::SelectionQuery {
+        h: config.h,
+        max_width,
+        mode: config.mode,
     };
-
-    route_from_candidates_counted(net, demands, config, capacity, candidates, registry)
+    let candidates = alg2::paths_selection(net, demands, capacity, query, threads, registry);
+    route_from_candidates(net, demands, config, capacity, candidates, registry)
 }
 
 /// Steps II and III of the pipeline on an externally-built candidate set:
-/// the capacity-aware merge, then leftover assignment.
+/// the capacity-aware merge, then leftover assignment. Merge counters
+/// (`alg3.*`) record into `registry`; they never influence the outcome.
 ///
 /// This is the serve layer's admission entry point: it builds Step I
 /// with a persistent [`alg2::SelectionEngine`], whose candidates equal
 /// what Step I would produce against `capacity`, and still gets a
-/// [`RouteTrace`] byte-identical to [`route_with_capacity_traced`],
-/// because the merge and Algorithm 4 are deterministic functions of
-/// (network, demands, candidates, config, capacity).
+/// [`RouteTrace`] byte-identical to [`route`]'s, because the merge and
+/// Algorithm 4 are deterministic functions of (network, demands,
+/// candidates, config, capacity).
 ///
 /// # Panics
 ///
 /// Panics if `capacity` is shorter than the node count.
 #[must_use]
-pub fn route_from_candidates_traced(
-    net: &QuantumNetwork,
-    demands: &[Demand],
-    config: &RoutingConfig,
-    capacity: &[u32],
-    candidates: Vec<alg2::CandidatePath>,
-) -> RouteTrace {
-    route_from_candidates_counted(
-        net,
-        demands,
-        config,
-        capacity,
-        candidates,
-        &Registry::disabled(),
-    )
-}
-
-/// [`route_from_candidates_traced`] with merge counters recording into
-/// `registry`. Counters never influence the outcome.
-///
-/// # Panics
-///
-/// As [`route_from_candidates_traced`].
-#[must_use]
-pub fn route_from_candidates_counted(
+pub fn route_from_candidates(
     net: &QuantumNetwork,
     demands: &[Demand],
     config: &RoutingConfig,
@@ -344,7 +217,7 @@ pub fn route_from_candidates_counted(
 ) -> RouteTrace {
     // Step II: capacity-aware merge.
     let merge = match config.merge_order {
-        MergeOrder::GainPerQubit => alg3_greedy::paths_merge_greedy_counted(
+        MergeOrder::GainPerQubit => alg3_greedy::paths_merge_greedy(
             net,
             demands,
             &candidates,
@@ -354,7 +227,7 @@ pub fn route_from_candidates_counted(
             capacity,
             &alg3_greedy::MergeCounters::from_registry(registry),
         ),
-        MergeOrder::WidthMajor => alg3::paths_merge_bounded_with_capacity(
+        MergeOrder::WidthMajor => alg3::paths_merge(
             net,
             demands,
             &candidates,
@@ -388,10 +261,12 @@ pub fn route_from_candidates_counted(
     }
 }
 
-/// Convenience wrapper: the paper's `ALG-N-FUSION` with default knobs.
+/// The paper's `ALG-N-FUSION` with default knobs on the network's own
+/// capacities: serial, recording no telemetry.
 #[must_use]
 pub fn alg_n_fusion(net: &QuantumNetwork, demands: &[Demand]) -> NetworkPlan {
-    route(net, demands, &RoutingConfig::n_fusion())
+    let (config, caps) = (RoutingConfig::n_fusion(), net.capacities());
+    route(net, demands, &config, &caps, 1, &Registry::disabled()).plan
 }
 
 #[cfg(test)]
@@ -412,6 +287,12 @@ mod tests {
         let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
         let demands = Demand::from_topology(&topo);
         (net, demands)
+    }
+
+    /// Serial, uncounted [`route`] on the network's own capacities.
+    fn plan(net: &QuantumNetwork, demands: &[Demand], config: &RoutingConfig) -> NetworkPlan {
+        let caps = net.capacities();
+        route(net, demands, config, &caps, 1, &Registry::disabled()).plan
     }
 
     #[test]
@@ -440,8 +321,8 @@ mod tests {
     #[test]
     fn alg4_never_hurts() {
         let (net, demands) = small_world();
-        let with = route(&net, &demands, &RoutingConfig::n_fusion());
-        let without = route(&net, &demands, &RoutingConfig::n_fusion_without_alg4());
+        let with = plan(&net, &demands, &RoutingConfig::n_fusion());
+        let without = plan(&net, &demands, &RoutingConfig::n_fusion_without_alg4());
         assert!(
             with.total_rate(&net) >= without.total_rate(&net) - 1e-9,
             "Algorithm 4 must be monotone: {} vs {}",
@@ -457,8 +338,8 @@ mod tests {
         // realistic small-p regime.
         let (mut net, demands) = small_world();
         net.set_uniform_link_success(Some(0.25));
-        let nf = route(&net, &demands, &RoutingConfig::n_fusion());
-        let classic = route(&net, &demands, &RoutingConfig::classic());
+        let nf = plan(&net, &demands, &RoutingConfig::n_fusion());
+        let classic = plan(&net, &demands, &RoutingConfig::classic());
         assert!(
             nf.total_rate(&net) >= classic.total_rate(&net) - 1e-9,
             "n-fusion {} must dominate classic {}",
@@ -501,16 +382,18 @@ mod tests {
     #[test]
     fn parallel_route_is_bit_identical_to_serial() {
         let (net, demands) = small_world();
+        let caps = net.capacities();
         for config in [RoutingConfig::n_fusion(), RoutingConfig::classic()] {
-            let serial = route(&net, &demands, &config);
+            let run = |threads: usize| {
+                let registry = Registry::enabled();
+                let trace = route(&net, &demands, &config, &caps, threads, &registry);
+                (trace, registry.snapshot())
+            };
+            let (serial, serial_counts) = run(1);
             for threads in [2, 4, 16] {
-                let parallel = route_parallel(&net, &demands, &config, threads);
-                assert_eq!(serial.alg4_links, parallel.alg4_links);
-                assert_eq!(serial.leftover, parallel.leftover);
-                for (s, p) in serial.plans.iter().zip(&parallel.plans) {
-                    assert_eq!(s.flow, p.flow, "threads={threads}");
-                    assert_eq!(s.paths, p.paths, "threads={threads}");
-                }
+                let (parallel, counts) = run(threads);
+                assert_eq!(parallel, serial, "threads={threads}");
+                assert_eq!(counts, serial_counts, "threads={threads}: counters");
             }
         }
     }

@@ -13,7 +13,9 @@
 //! and no Algorithm 4 widening happens afterwards. See DESIGN.md §3 for the
 //! substitution rationale (the original is defined on lattices only).
 
-use crate::algorithms::alg2::paths_selection;
+use fusion_telemetry::Registry;
+
+use crate::algorithms::alg2::{paths_selection, SelectionQuery};
 use crate::demand::Demand;
 use crate::network::QuantumNetwork;
 use crate::plan::{NetworkPlan, SwapMode};
@@ -35,17 +37,22 @@ pub fn route_b1(net: &QuantumNetwork, demands: &[Demand], region_paths: usize) -
     let mut plans = Vec::with_capacity(demands.len());
     for &demand in demands {
         // Region discovery at width 1 under the residual capacity.
+        let query = SelectionQuery {
+            h: region_paths.max(1),
+            max_width: 1,
+            mode: SwapMode::NFusion,
+        };
         let candidates = paths_selection(
             net,
             std::slice::from_ref(&demand),
             &remaining,
-            region_paths.max(1),
+            query,
             1,
-            SwapMode::NFusion,
+            &Registry::disabled(),
         );
         // Merge the region paths for this single pair; sharing is the
         // essence of the protocol (every region edge is used once).
-        let outcome = paths_merge_with_budget(net, &demand, &candidates, &remaining);
+        let outcome = paths_merge_with_budget(&demand, &candidates, &remaining);
         remaining = outcome.1;
         plans.push(outcome.0);
     }
@@ -57,18 +64,14 @@ pub fn route_b1(net: &QuantumNetwork, demands: &[Demand], region_paths: usize) -
     }
 }
 
-/// Runs the shared merge logic against an explicit budget instead of the
-/// full network capacity.
+/// Merges one pair's region paths against the running budget in a
+/// single metric-ordered pass at width 1, every hop shared. Algorithm 3's
+/// merges order and retry candidates differently, so B1 keeps its own.
 fn paths_merge_with_budget(
-    _net: &QuantumNetwork,
     demand: &Demand,
     candidates: &[crate::algorithms::alg2::CandidatePath],
     budget: &[u32],
 ) -> (crate::plan::DemandPlan, Vec<u32>) {
-    // Reuse Algorithm 3 by temporarily presenting the budget as the
-    // network capacity: paths_merge only reads capacities from the
-    // network, so emulate it by filtering candidates through a local
-    // merge. The logic is small enough to inline here with the budget.
     let mut remaining = budget.to_vec();
     let mut plan = crate::plan::DemandPlan::empty(*demand);
     let mut assigned: std::collections::HashSet<(fusion_graph::NodeId, fusion_graph::NodeId)> =

@@ -7,6 +7,8 @@
 //! paper's classic rate `p^z · q^(z-1)` (see
 //! `fusion_core::metrics::classic`).
 
+use fusion_telemetry::Registry;
+
 use crate::algorithms::pipeline::{route, RoutingConfig};
 use crate::demand::Demand;
 use crate::network::QuantumNetwork;
@@ -21,7 +23,8 @@ pub fn route_qcast(net: &QuantumNetwork, demands: &[Demand], h: usize) -> Networ
         max_width: Some(1),
         ..RoutingConfig::classic()
     };
-    route(net, demands, &config)
+    let caps = net.capacities();
+    route(net, demands, &config, &caps, 1, &Registry::disabled()).plan
 }
 
 #[cfg(test)]

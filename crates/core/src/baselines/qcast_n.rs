@@ -10,6 +10,8 @@
 //! n-fusion's remaining advantages over it (flow-like merging, global
 //! width-major allocation) are exactly what ALG-N-FUSION adds.
 
+use fusion_telemetry::Registry;
+
 use crate::algorithms::pipeline::{route, RoutingConfig};
 use crate::demand::Demand;
 use crate::network::QuantumNetwork;
@@ -25,7 +27,8 @@ pub fn route_qcast_n(net: &QuantumNetwork, demands: &[Demand], h: usize) -> Netw
         max_paths_per_demand: Some(1),
         ..RoutingConfig::n_fusion()
     };
-    route(net, demands, &config)
+    let caps = net.capacities();
+    route(net, demands, &config, &caps, 1, &Registry::disabled()).plan
 }
 
 #[cfg(test)]

@@ -9,11 +9,15 @@
 //! this harness is what holds them to it, over random Waxman/grid
 //! networks × demand loads × seeds × swap modes × `h` × `max_width`.
 //!
-//! A second property drives the *whole* pipeline end-to-end with each
-//! engine and compares the merged plans, so an Algorithm 2 divergence
-//! cannot hide behind an Algorithm 3 tie-break that happens to pick the
-//! same routes: the plans, acceptance outcomes, leftover-qubit vectors,
-//! and Algorithm 4 assignments must all match under both merge orders.
+//! A second property drives the *whole* pipeline end-to-end — `route`
+//! against `route_from_candidates` on the oracle's candidates — and
+//! compares the merged plans, so an Algorithm 2 divergence cannot hide
+//! behind an Algorithm 3 tie-break that happens to pick the same routes:
+//! the plans, acceptance outcomes, leftover-qubit vectors, and
+//! Algorithm 4 assignments must all match under both merge orders.
+//!
+//! Both properties draw the width descent's worker count, so sharded
+//! selection is held to the oracle too.
 //!
 //! The reduced grids below run in tier-1 CI on every push; the wide
 //! grids (`--ignored`) cover more cases, larger networks, and harsher
@@ -23,9 +27,10 @@
 //! cargo test --release -p fusion-core --test alg2_differential -- --ignored
 //! ```
 
-use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference};
-use fusion_core::algorithms::{route, MergeOrder, PathSelection, RoutingConfig};
+use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference, SelectionQuery};
+use fusion_core::algorithms::{route, route_from_candidates, MergeOrder, RoutingConfig};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
 use proptest::prelude::*;
@@ -59,7 +64,8 @@ fn instance(
     (net, demands)
 }
 
-/// One sampled selection case: descent == reference, exactly.
+/// One sampled selection case: descent on `threads` workers ==
+/// reference, exactly.
 #[allow(clippy::too_many_arguments)]
 fn check_selection_case(
     switches: usize,
@@ -71,38 +77,43 @@ fn check_selection_case(
     h: usize,
     max_width: u32,
     mode: SwapMode,
+    threads: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let (net, demands) = instance(switches, pairs, grid, seed, p, q);
     let caps = net.capacities();
-    let descent = paths_selection(&net, &demands, &caps, h, max_width, mode);
+    let query = SelectionQuery { h, max_width, mode };
+    let descent = paths_selection(&net, &demands, &caps, query, threads, &Registry::disabled());
     let reference = paths_selection_reference(&net, &demands, &caps, h, max_width, mode);
     prop_assert_eq!(
         descent.len(),
         reference.len(),
-        "candidate count diverged (grid {}, h {}, max_width {}, mode {:?})",
+        "candidate count diverged (grid {}, h {}, max_width {}, mode {:?}, threads {})",
         grid,
         h,
         max_width,
-        mode
+        mode,
+        threads
     );
     for (i, (d, r)) in descent.iter().zip(&reference).enumerate() {
         prop_assert_eq!(
             d,
             r,
-            "candidate {} diverged (grid {}, h {}, max_width {}, mode {:?})",
+            "candidate {} diverged (grid {}, h {}, max_width {}, mode {:?}, threads {})",
             i,
             grid,
             h,
             max_width,
-            mode
+            mode,
+            threads
         );
     }
     Ok(())
 }
 
-/// One sampled end-to-end case: `route` under the width-descent engine
-/// must emit the same plan as under the per-width sweep, for both merge
-/// orders and both route-cap regimes.
+/// One sampled end-to-end case: `route`, with its width descent on
+/// `threads` workers, must emit the same candidates and plan as
+/// `route_from_candidates` on the per-width sweep's candidates, for both
+/// merge orders and both route-cap regimes.
 #[allow(clippy::too_many_arguments)]
 fn check_route_case(
     switches: usize,
@@ -115,31 +126,30 @@ fn check_route_case(
     mode: SwapMode,
     merge_order: MergeOrder,
     max_paths_per_demand: Option<usize>,
+    threads: usize,
 ) -> Result<(), proptest::test_runner::TestCaseError> {
     let (net, demands) = instance(switches, pairs, grid, seed, p, q);
-    let base = RoutingConfig {
+    let config = RoutingConfig {
         h,
         mode,
         merge_order,
         max_paths_per_demand,
         ..RoutingConfig::n_fusion()
     };
-    let descent = route(
-        &net,
-        &demands,
-        &RoutingConfig {
-            path_selection: PathSelection::WidthDescent,
-            ..base
-        },
+    let caps = net.capacities();
+    let disabled = Registry::disabled();
+    let descent = route(&net, &demands, &config, &caps, threads, &disabled);
+    let max_width = net.max_switch_capacity_in(&caps);
+    let candidates = paths_selection_reference(&net, &demands, &caps, h, max_width, mode);
+    let sweep = route_from_candidates(&net, &demands, &config, &caps, candidates, &disabled);
+    prop_assert_eq!(
+        descent.candidates == sweep.candidates,
+        true,
+        "candidates diverged (mode {:?}, threads {})",
+        mode,
+        threads
     );
-    let sweep = route(
-        &net,
-        &demands,
-        &RoutingConfig {
-            path_selection: PathSelection::PerWidthSweep,
-            ..base
-        },
-    );
+    let (descent, sweep) = (descent.plan, sweep.plan);
     prop_assert_eq!(
         &descent.leftover,
         &sweep.leftover,
@@ -213,6 +223,7 @@ proptest! {
         h in 1usize..4,
         max_width in 1u32..6,
         classic in proptest::bool::ANY,
+        threads in 1usize..4,
     ) {
         check_selection_case(
             switches,
@@ -224,6 +235,7 @@ proptest! {
             h,
             max_width,
             mode_of(classic),
+            threads,
         )?;
     }
 }
@@ -231,8 +243,9 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The tier-1 reduced end-to-end grid: the full pipeline under both
-    /// engines must merge to identical plans.
+    /// The tier-1 reduced end-to-end grid: the full pipeline on the width
+    /// descent and on the per-width sweep's candidates must merge to
+    /// identical plans.
     #[test]
     fn route_with_descent_matches_sweep_reduced(
         switches in 10usize..30,
@@ -245,6 +258,7 @@ proptest! {
         classic in proptest::bool::ANY,
         width_major in proptest::bool::ANY,
         cap in 0usize..3,
+        threads in 1usize..4,
     ) {
         check_route_case(
             switches,
@@ -257,6 +271,7 @@ proptest! {
             mode_of(classic),
             order_of(width_major),
             cap_of(cap),
+            threads,
         )?;
     }
 }
@@ -278,6 +293,7 @@ proptest! {
         h in 1usize..6,
         max_width in 1u32..8,
         classic in proptest::bool::ANY,
+        threads in 1usize..4,
     ) {
         check_selection_case(
             switches,
@@ -289,6 +305,7 @@ proptest! {
             h,
             max_width,
             mode_of(classic),
+            threads,
         )?;
     }
 }
@@ -310,6 +327,7 @@ proptest! {
         classic in proptest::bool::ANY,
         width_major in proptest::bool::ANY,
         cap in 0usize..4,
+        threads in 1usize..4,
     ) {
         check_route_case(
             switches,
@@ -322,6 +340,7 @@ proptest! {
             mode_of(classic),
             order_of(width_major),
             cap_of(cap),
+            threads,
         )?;
     }
 }

@@ -11,8 +11,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference};
+use fusion_core::algorithms::alg2::{paths_selection, paths_selection_reference, SelectionQuery};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::TopologyConfig;
 
 /// System allocator wrapper that counts allocation calls.
@@ -62,8 +63,14 @@ fn descent_allocates_less_than_reference_sweep() {
     let (reference, ref_allocs) = allocations_during(|| {
         paths_selection_reference(&net, &demands, &caps, 3, 5, SwapMode::NFusion)
     });
+    let query = SelectionQuery {
+        h: 3,
+        max_width: 5,
+        mode: SwapMode::NFusion,
+    };
+    let disabled = Registry::disabled();
     let (descent, descent_allocs) =
-        allocations_during(|| paths_selection(&net, &demands, &caps, 3, 5, SwapMode::NFusion));
+        allocations_during(|| paths_selection(&net, &demands, &caps, query, 1, &disabled));
 
     assert_eq!(
         descent, reference,

@@ -18,9 +18,12 @@
 //! cargo test --release -p fusion-core --test merge_differential -- --ignored
 //! ```
 
-use fusion_core::algorithms::alg2::paths_selection;
-use fusion_core::algorithms::alg3_greedy::{paths_merge_greedy, paths_merge_greedy_reference};
+use fusion_core::algorithms::alg2::{paths_selection, SelectionQuery};
+use fusion_core::algorithms::alg3_greedy::{
+    paths_merge_greedy, paths_merge_greedy_reference, MergeCounters,
+};
 use fusion_core::{Demand, NetworkParams, QuantumNetwork, SwapMode};
+use fusion_telemetry::Registry;
 use fusion_topology::{GeneratorKind, TopologyConfig};
 
 use proptest::prelude::*;
@@ -60,7 +63,8 @@ fn check_case(
     net.set_swap_success(q);
     let demands = Demand::from_topology(&topo);
     let caps = net.capacities();
-    let candidates = paths_selection(&net, &demands, &caps, h, max_width, mode);
+    let query = SelectionQuery { h, max_width, mode };
+    let candidates = paths_selection(&net, &demands, &caps, query, 1, &Registry::disabled());
 
     let queue = paths_merge_greedy(
         &net,
@@ -69,6 +73,8 @@ fn check_case(
         mode,
         share_edges,
         max_paths_per_demand,
+        &caps,
+        &MergeCounters::default(),
     );
     let reference = paths_merge_greedy_reference(
         &net,

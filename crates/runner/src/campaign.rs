@@ -18,7 +18,7 @@ use fusion_bench::report::Row;
 use fusion_telemetry::Registry;
 use parking_lot::Mutex;
 
-use crate::aggregate::{aggregate_rows, render_table, summary_json, GroupSummary};
+use crate::aggregate::{aggregate_rows, summary_json, GroupSummary};
 use crate::spec::{Cell, SweepSpec};
 use crate::store::{CampaignStore, Manifest};
 
@@ -239,12 +239,6 @@ pub fn aggregate_campaign(dir: &std::path::Path) -> Result<Vec<GroupSummary>, St
     }
     std::fs::rename(&tmp, store.summary_path()).map_err(|e| format!("renaming summary: {e}"))?;
     Ok(summaries)
-}
-
-/// Renders a campaign's summary table (after [`aggregate_campaign`]).
-#[must_use]
-pub fn summary_table(name: &str, summaries: &[GroupSummary]) -> String {
-    render_table(name, summaries)
 }
 
 #[cfg(test)]

@@ -1,15 +1,15 @@
-//! Named world presets for the serve binary and its tests.
+//! Named world presets: the repository's one preset table.
 //!
-//! These mirror the *instance-shaping* fields (topology, network
-//! parameters, `h`, seed) of `fusion-bench`'s `ExperimentConfig` presets
-//! of the same names. `fusion-serve` cannot depend on `fusion-bench`
-//! (bench's perfbench depends on serve for the `serve_replay` workload),
-//! so the table is duplicated here and kept honest by the
-//! `serve_presets_mirror_bench` test in `fusion-bench`, which links both
-//! crates.
+//! Each preset fixes the *world* — topology, network parameters, `h` and
+//! seed — once. The serve binary and its tests replay on these worlds,
+//! and `fusion-bench` builds its batch `ExperimentConfig` presets of the
+//! same names from this table, adding only the batch fields (networks
+//! averaged, Monte Carlo rounds, threads). So a replay on a preset and a
+//! batch experiment on the same preset name and instance index route on
+//! the exact same network.
 //!
-//! Presets fix the *world*: the routing config they produce is the
-//! default n-fusion pipeline with the preset's `h`.
+//! The routing config a preset produces is the default n-fusion pipeline
+//! with the preset's `h`.
 
 use fusion_core::algorithms::RoutingConfig;
 use fusion_core::{NetworkParams, QuantumNetwork};
@@ -72,8 +72,7 @@ fn large_topology(num_switches: usize, kind: GeneratorKind) -> TopologyConfig {
     }
 }
 
-/// Every named preset, base shapes first then the large-scale ones —
-/// same names and instance shapes as the batch presets in `fusion-bench`.
+/// Every named preset, base shapes first then the large-scale ones.
 #[must_use]
 pub fn presets() -> Vec<ServePreset> {
     let default_kind = TopologyConfig::default().kind;

@@ -19,7 +19,7 @@
 
 use std::collections::BTreeMap;
 
-use fusion_sim::{estimate_demand_plan_counted, McCounters};
+use fusion_sim::{estimate_demand_plan, McCounters};
 use fusion_telemetry::Registry;
 
 use crate::state::{AdmitOutcome, PlanId, RejectReason, ServiceState};
@@ -162,7 +162,7 @@ pub fn replay(state: &mut ServiceState, trace: &Trace, options: &ReplayOptions) 
                         );
                         if options.mc_rounds > 0 {
                             let plan = &state.get(id).expect("just admitted").plan;
-                            let est = estimate_demand_plan_counted(
+                            let est = estimate_demand_plan(
                                 state.network(),
                                 plan,
                                 state.config().mode,

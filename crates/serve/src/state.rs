@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use fusion_core::algorithms::{
-    route_from_candidates_counted, RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
+    route_from_candidates, RouteTrace, RoutingConfig, SelectionEngine, SelectionQuery,
 };
 use fusion_core::{Demand, DemandId, DemandPlan, QuantumNetwork, ResourceUsage};
 use fusion_graph::{EdgeId, NodeId};
@@ -323,7 +323,7 @@ impl ServiceState {
         let candidates = self
             .engine
             .select_demand(&self.net, &demand, residual, query);
-        let trace = route_from_candidates_counted(
+        let trace = route_from_candidates(
             &self.net,
             &[demand],
             &self.config,

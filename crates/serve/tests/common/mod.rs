@@ -3,7 +3,7 @@
 //! per-arrival check of the production admission against the batch
 //! pipeline.
 
-use fusion_core::algorithms::{route_with_capacity_traced, RoutingConfig};
+use fusion_core::algorithms::{route, RoutingConfig};
 use fusion_core::{NetworkParams, QuantumNetwork};
 use fusion_graph::NodeId;
 use fusion_serve::{AdmitOutcome, ServiceState};
@@ -71,8 +71,15 @@ pub fn admit_checked(
             "serve refused as saturated but the reduced network still has qubits"
         ),
         Some(serve_trace) => {
-            let batch =
-                route_with_capacity_traced(&reduced, &[demand], &config, &reduced.capacities(), 1);
+            let caps = reduced.capacities();
+            let batch = route(
+                &reduced,
+                &[demand],
+                &config,
+                &caps,
+                1,
+                &Registry::disabled(),
+            );
             prop_assert_eq!(
                 serve_trace.candidates == batch.candidates,
                 true,

@@ -2,8 +2,8 @@
 //!
 //! Demands own disjoint qubits once routed, so their round outcomes are
 //! independent: the network entanglement rate is estimated per demand and
-//! summed. The parallel variant shards rounds across threads with
-//! independent seeded RNGs, keeping results reproducible for a fixed
+//! summed. With more than one thread, rounds are sharded across threads
+//! with independent seeded RNGs, keeping results reproducible for a fixed
 //! `(seed, threads)` pair.
 
 use fusion_core::{DemandPlan, NetworkPlan, QuantumNetwork, SwapMode};
@@ -85,30 +85,15 @@ impl PlanEstimate {
 ///
 /// Seeding is per call: the same `(plan, seed, rounds)` triple always
 /// reproduces the same estimate, independent of what else was admitted.
+/// The counts are recorded into `counters` in bulk after the simulation
+/// loop, so instrumentation adds no per-round cost; pass
+/// `McCounters::default()` to record nothing.
 ///
 /// # Panics
 ///
 /// Panics if `rounds == 0`.
 #[must_use]
 pub fn estimate_demand_plan(
-    net: &QuantumNetwork,
-    plan: &DemandPlan,
-    mode: SwapMode,
-    rounds: usize,
-    seed: u64,
-) -> RateEstimate {
-    estimate_demand_plan_counted(net, plan, mode, rounds, seed, &McCounters::default())
-}
-
-/// [`estimate_demand_plan`] with telemetry counters. The counts are
-/// recorded in bulk after the simulation loop, so instrumentation adds
-/// no per-round cost.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[must_use]
-pub fn estimate_demand_plan_counted(
     net: &QuantumNetwork,
     plan: &DemandPlan,
     mode: SwapMode,
@@ -129,86 +114,24 @@ pub fn estimate_demand_plan_counted(
     RateEstimate::from_successes(hits, rounds)
 }
 
-/// Estimates the plan's entanglement rate over `rounds` Monte Carlo rounds.
+/// Estimates the plan's entanglement rate over `rounds` Monte Carlo
+/// rounds, recording into `counters` (`McCounters::default()` records
+/// nothing).
+///
+/// With `threads == 1`, demand `i` runs [`estimate_demand_plan`] on its
+/// own stream seeded `seed + i`. With more threads, every demand's
+/// rounds are split over `threads` workers with derived seeds, and the
+/// round count is rounded up to a multiple of `threads` (what
+/// [`PlanEstimate::rounds`] reports). Counts are recorded per demand
+/// from the calling thread with that effective round count, so
+/// snapshots match the serial run whenever `threads` divides `rounds`
+/// and never depend on worker scheduling.
 ///
 /// # Panics
 ///
-/// Panics if `rounds == 0`.
+/// Panics if `rounds == 0` or `threads == 0`.
 #[must_use]
 pub fn estimate_plan(
-    net: &QuantumNetwork,
-    plan: &NetworkPlan,
-    rounds: usize,
-    seed: u64,
-) -> PlanEstimate {
-    estimate_plan_counted(net, plan, rounds, seed, &McCounters::default())
-}
-
-/// [`estimate_plan`] with telemetry counters, recorded in bulk per
-/// demand after its simulation loop.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0`.
-#[must_use]
-pub fn estimate_plan_counted(
-    net: &QuantumNetwork,
-    plan: &NetworkPlan,
-    rounds: usize,
-    seed: u64,
-    counters: &McCounters,
-) -> PlanEstimate {
-    assert!(rounds > 0, "need at least one round");
-    let per_demand = plan
-        .plans
-        .iter()
-        .enumerate()
-        .map(|(i, dp)| {
-            let mut sampler = PlanSampler::new(net, dp, plan.mode);
-            let mut rng = StdRng::seed_from_u64(seed.wrapping_add(i as u64));
-            let mut hits = 0usize;
-            for _ in 0..rounds {
-                if sampler.sample(&mut rng) {
-                    hits += 1;
-                }
-            }
-            counters.record(&sampler, rounds);
-            RateEstimate::from_successes(hits, rounds)
-        })
-        .collect();
-    PlanEstimate { per_demand, rounds }
-}
-
-/// Parallel variant of [`estimate_plan`]: rounds are split over `threads`
-/// workers with derived seeds.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0` or `threads == 0`.
-#[must_use]
-pub fn estimate_plan_parallel(
-    net: &QuantumNetwork,
-    plan: &NetworkPlan,
-    rounds: usize,
-    seed: u64,
-    threads: usize,
-) -> PlanEstimate {
-    estimate_plan_parallel_counted(net, plan, rounds, seed, threads, &McCounters::default())
-}
-
-/// [`estimate_plan_parallel`] with telemetry counters.
-///
-/// Counts are recorded once per demand from the main thread using the
-/// effective round count (`rounds` rounded up to a multiple of
-/// `threads`, exactly what [`PlanEstimate::rounds`] reports), so
-/// snapshots match the serial variant whenever `threads` divides
-/// `rounds` and never depend on worker scheduling.
-///
-/// # Panics
-///
-/// Panics if `rounds == 0` or `threads == 0`.
-#[must_use]
-pub fn estimate_plan_parallel_counted(
     net: &QuantumNetwork,
     plan: &NetworkPlan,
     rounds: usize,
@@ -218,6 +141,19 @@ pub fn estimate_plan_parallel_counted(
 ) -> PlanEstimate {
     assert!(rounds > 0, "need at least one round");
     assert!(threads > 0, "need at least one thread");
+    if threads == 1 {
+        let per_demand = plan
+            .plans
+            .iter()
+            .enumerate()
+            .map(|(i, dp)| {
+                let seed = seed.wrapping_add(i as u64);
+                estimate_demand_plan(net, dp, plan.mode, rounds, seed, counters)
+            })
+            .collect();
+        return PlanEstimate { per_demand, rounds };
+    }
+
     let per_thread = rounds.div_ceil(threads);
     let total_rounds = per_thread * threads;
     for dp in &plan.plans {
@@ -283,7 +219,7 @@ mod tests {
     #[test]
     fn monte_carlo_agrees_with_analytic() {
         let (net, plan) = routed_world();
-        let est = estimate_plan(&net, &plan, 8_000, 3);
+        let est = estimate_plan(&net, &plan, 8_000, 3, 1, &McCounters::default());
         let analytic = plan.total_rate(&net);
         // Eq. 1 is exact on series-parallel flows and optimistic on
         // reconvergent ones, so simulation may only undershoot — and by a
@@ -304,8 +240,14 @@ mod tests {
     #[test]
     fn parallel_matches_serial_statistics() {
         let (net, plan) = routed_world();
-        let serial = estimate_plan(&net, &plan, 4_000, 9);
-        let parallel = estimate_plan_parallel(&net, &plan, 4_000, 9, 4);
+        let counted = |threads: usize| {
+            let registry = Registry::enabled();
+            let mc = McCounters::from_registry(&registry);
+            let est = estimate_plan(&net, &plan, 4_000, 9, threads, &mc);
+            (est, registry.snapshot())
+        };
+        let (serial, serial_counts) = counted(1);
+        let (parallel, parallel_counts) = counted(4);
         assert!(
             (serial.total_rate() - parallel.total_rate()).abs()
                 < 4.0 * (serial.total_stderr() + parallel.total_stderr()) + 0.05,
@@ -313,21 +255,32 @@ mod tests {
             serial.total_rate(),
             parallel.total_rate()
         );
-        assert!(parallel.rounds >= 4_000);
+        assert_eq!(parallel.rounds, 4_000);
+        // 4 divides 4_000, so the sharded run counts the same work.
+        assert_eq!(parallel_counts, serial_counts);
     }
 
     #[test]
     fn parallel_is_deterministic_per_seed_and_threads() {
         let (net, plan) = routed_world();
-        let a = estimate_plan_parallel(&net, &plan, 2_000, 5, 3);
-        let b = estimate_plan_parallel(&net, &plan, 2_000, 5, 3);
-        assert_eq!(a.total_rate(), b.total_rate());
+        for threads in [1, 3] {
+            let a = estimate_plan(&net, &plan, 2_000, 5, threads, &McCounters::default());
+            let b = estimate_plan(&net, &plan, 2_000, 5, threads, &McCounters::default());
+            assert_eq!(a.total_rate(), b.total_rate(), "threads={threads}");
+        }
+        // One thread keeps the per-demand serial streams.
+        let serial = estimate_plan(&net, &plan, 2_000, 5, 1, &McCounters::default());
+        for (i, dp) in plan.plans.iter().enumerate() {
+            let mc = McCounters::default();
+            let alone = estimate_demand_plan(&net, dp, plan.mode, 2_000, 5 + i as u64, &mc);
+            assert_eq!(serial.per_demand[i].mean, alone.mean, "demand {i}");
+        }
     }
 
     #[test]
     fn estimates_are_probabilities() {
         let (net, plan) = routed_world();
-        let est = estimate_plan(&net, &plan, 500, 1);
+        let est = estimate_plan(&net, &plan, 500, 1, 1, &McCounters::default());
         for d in &est.per_demand {
             assert!((0.0..=1.0).contains(&d.mean));
         }

@@ -14,7 +14,7 @@
 //!   checks, verifying the connectivity shortcut round by round.
 //! * [`exact`] — exact reliability by enumeration for small flow graphs,
 //!   used to validate both Equation 1 and the samplers.
-//! * [`evaluate`] — plan-level rate estimation with optional parallelism.
+//! * [`evaluate`] — plan-level rate estimation on one or more threads.
 //! * [`failure`] — failure injection (switch outages, link decay).
 //! * [`multiparty`] — sampling for the k-party GHZ extension.
 //! * [`timeline`] — time-slotted operation with arrivals, re-planning,
@@ -38,9 +38,6 @@ pub mod stats;
 pub mod timeline;
 
 pub use connectivity::{ClassicSampler, FlowSampler, PlanSampler};
-pub use evaluate::{
-    estimate_demand_plan, estimate_demand_plan_counted, estimate_plan, estimate_plan_counted,
-    estimate_plan_parallel, estimate_plan_parallel_counted, McCounters, PlanEstimate,
-};
+pub use evaluate::{estimate_demand_plan, estimate_plan, McCounters, PlanEstimate};
 pub use protocol::{RoundOutcome, RoundSimulator};
 pub use stats::RateEstimate;

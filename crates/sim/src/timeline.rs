@@ -13,6 +13,7 @@
 use fusion_core::algorithms::{route, RoutingConfig};
 use fusion_core::{Demand, DemandId, QuantumNetwork};
 use fusion_graph::NodeId;
+use fusion_telemetry::Registry;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -160,7 +161,9 @@ pub fn run_timeline(
                     Demand::new(DemandId::new(slot), arrivals[i].source, arrivals[i].dest)
                 })
                 .collect();
-            plan = Some((route(net, &demands, &config.routing), active.clone()));
+            let (caps, telemetry) = (net.capacities(), Registry::disabled());
+            let routed = route(net, &demands, &config.routing, &caps, 1, &telemetry);
+            plan = Some((routed.plan, active.clone()));
             replans += 1;
         }
         let (current_plan, plan_members) = plan.as_ref().expect("planned above");

@@ -8,7 +8,7 @@
 
 use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::{Demand, NetworkParams, QuantumNetwork};
-use ghz_entanglement_routing::sim::evaluate::estimate_plan;
+use ghz_entanglement_routing::sim::evaluate::{estimate_plan, McCounters};
 use ghz_entanglement_routing::topology::TopologyConfig;
 
 fn main() {
@@ -40,7 +40,7 @@ fn main() {
 
     // Phases II-III, repeated: Monte Carlo over link generation and GHZ
     // fusions.
-    let estimate = estimate_plan(&net, &plan, 2_000, 7);
+    let estimate = estimate_plan(&net, &plan, 2_000, 7, 1, &McCounters::default());
     println!(
         "simulated entanglement rate: {:.2} ± {:.2} (2000 rounds)",
         estimate.total_rate(),

@@ -40,12 +40,17 @@ fn main() {
             let topo = config.generate(seed);
             let net = QuantumNetwork::from_topology(&topo, &NetworkParams::default());
             let demands = Demand::from_topology(&topo);
+            let caps = net.capacities();
+            // Serial, with the default (disabled) telemetry registry.
+            let pipeline = |config: RoutingConfig| {
+                route(&net, &demands, &config, &caps, 1, &Default::default()).plan
+            };
             let rates = [
-                route(&net, &demands, &RoutingConfig::n_fusion()).total_rate(&net),
+                pipeline(RoutingConfig::n_fusion()).total_rate(&net),
                 route_qcast(&net, &demands, 5).total_rate(&net),
                 route_qcast_n(&net, &demands, 5).total_rate(&net),
                 route_b1(&net, &demands, DEFAULT_REGION_PATHS).total_rate(&net),
-                route(&net, &demands, &RoutingConfig::n_fusion_without_alg4()).total_rate(&net),
+                pipeline(RoutingConfig::n_fusion_without_alg4()).total_rate(&net),
             ];
             for (s, r) in sums.iter_mut().zip(rates) {
                 *s += r;

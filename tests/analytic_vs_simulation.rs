@@ -6,7 +6,7 @@
 use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::baselines::route_qcast;
 use ghz_entanglement_routing::core::{metrics, Demand, NetworkParams, QuantumNetwork};
-use ghz_entanglement_routing::sim::evaluate::{estimate_plan, estimate_plan_parallel};
+use ghz_entanglement_routing::sim::evaluate::{estimate_plan, McCounters};
 use ghz_entanglement_routing::sim::exact;
 use ghz_entanglement_routing::topology::TopologyConfig;
 
@@ -71,7 +71,7 @@ fn eq1_matches_exact_on_routed_flows() {
 fn eq1_matches_monte_carlo_per_demand() {
     let (net, demands) = world(3);
     let plan = alg_n_fusion(&net, &demands);
-    let est = estimate_plan(&net, &plan, 20_000, 17);
+    let est = estimate_plan(&net, &plan, 20_000, 17, 1, &McCounters::default());
     let mut optimism = Vec::new();
     for (i, dp) in plan.plans.iter().enumerate() {
         let analytic = metrics::flow_rate(&net, &dp.flow).value();
@@ -101,7 +101,7 @@ fn eq1_matches_monte_carlo_per_demand() {
 fn classic_formula_matches_lane_sampling() {
     let (net, demands) = world(4);
     let plan = route_qcast(&net, &demands, 5);
-    let est = estimate_plan(&net, &plan, 20_000, 23);
+    let est = estimate_plan(&net, &plan, 20_000, 23, 1, &McCounters::default());
     for (i, dp) in plan.plans.iter().enumerate() {
         let analytic = dp.rate(&net, plan.mode);
         assert!(
@@ -116,15 +116,17 @@ fn classic_formula_matches_lane_sampling() {
 fn parallel_estimation_is_consistent() {
     let (net, demands) = world(6);
     let plan = alg_n_fusion(&net, &demands);
-    let serial = estimate_plan(&net, &plan, 6_000, 31);
-    let parallel = estimate_plan_parallel(&net, &plan, 6_000, 31, 4);
-    assert!(
-        (serial.total_rate() - parallel.total_rate()).abs()
-            < 4.0 * (serial.total_stderr() + parallel.total_stderr()) + 0.05,
-        "serial {} vs parallel {}",
-        serial.total_rate(),
-        parallel.total_rate()
-    );
+    let serial = estimate_plan(&net, &plan, 6_000, 31, 1, &McCounters::default());
+    for threads in [2, 4] {
+        let parallel = estimate_plan(&net, &plan, 6_000, 31, threads, &McCounters::default());
+        assert!(
+            (serial.total_rate() - parallel.total_rate()).abs()
+                < 4.0 * (serial.total_stderr() + parallel.total_stderr()) + 0.05,
+            "threads={threads}: serial {} vs parallel {}",
+            serial.total_rate(),
+            parallel.total_rate()
+        );
+    }
 }
 
 #[test]
@@ -136,7 +138,7 @@ fn uniform_p_sweep_shifts_measured_rates() {
     for p in [0.1, 0.2, 0.3, 0.4] {
         net.set_uniform_link_success(Some(p));
         let plan = alg_n_fusion(&net, &demands);
-        let est = estimate_plan(&net, &plan, 3_000, 2);
+        let est = estimate_plan(&net, &plan, 3_000, 2, 1, &McCounters::default());
         let rate = est.total_rate();
         assert!(
             rate >= last - 0.15,

@@ -139,10 +139,19 @@ proptest! {
             Demand::new(DemandId::new(1), d, s),
         ];
         let capacity = net.capacities();
+        let query = alg2::SelectionQuery { h, max_width: 4, mode: SwapMode::NFusion };
+        // The default telemetry registry is the disabled one.
         let candidates =
-            alg2::paths_selection(&net, &demands, &capacity, h, 4, SwapMode::NFusion);
-        let outcome =
-            alg3::paths_merge(&net, &demands, &candidates, SwapMode::NFusion, share);
+            alg2::paths_selection(&net, &demands, &capacity, query, 1, &Default::default());
+        let outcome = alg3::paths_merge(
+            &net,
+            &demands,
+            &candidates,
+            SwapMode::NFusion,
+            share,
+            None,
+            &capacity,
+        );
         for node in net.graph().node_ids().filter(|&n| net.is_switch(n)) {
             let spent: u32 = outcome.plans.iter().map(|p| p.flow.qubits_at(node)).sum();
             prop_assert!(spent <= net.capacity(node));

@@ -3,7 +3,7 @@
 
 use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::{Demand, DemandId, NetworkParams, QuantumNetwork};
-use ghz_entanglement_routing::sim::evaluate::estimate_plan;
+use ghz_entanglement_routing::sim::evaluate::{estimate_plan, McCounters};
 use ghz_entanglement_routing::sim::failure::FailureModel;
 use ghz_entanglement_routing::topology::TopologyConfig;
 
@@ -45,13 +45,14 @@ fn link_decay_degrades_simulated_rates() {
     let (mut net, demands) = world(2);
     net.set_uniform_link_success(Some(0.6));
     let plan = alg_n_fusion(&net, &demands);
-    let healthy = estimate_plan(&net, &plan, 3_000, 5).total_rate();
+    let healthy = estimate_plan(&net, &plan, 3_000, 5, 1, &McCounters::default()).total_rate();
     let decayed_net = FailureModel {
         switch_outage: 0.0,
         link_decay: 0.3,
     }
     .degrade(&net);
-    let decayed = estimate_plan(&decayed_net, &plan, 3_000, 5).total_rate();
+    let decayed =
+        estimate_plan(&decayed_net, &plan, 3_000, 5, 1, &McCounters::default()).total_rate();
     assert!(
         decayed < healthy,
         "30% fiber decay must reduce the simulated rate ({healthy} -> {decayed})"
@@ -92,7 +93,7 @@ fn disconnected_demand_is_served_zero_not_panic() {
     let plan = alg_n_fusion(&net, &demands);
     assert_eq!(plan.served_demands(), 0);
     assert_eq!(plan.total_rate(&net), 0.0);
-    let est = estimate_plan(&net, &plan, 100, 1);
+    let est = estimate_plan(&net, &plan, 100, 1, 1, &McCounters::default());
     assert_eq!(est.total_rate(), 0.0);
 }
 

@@ -3,7 +3,7 @@
 //! sanity across seeds and generator families.
 
 use ghz_entanglement_routing::core::algorithms::{alg_n_fusion, route, RoutingConfig};
-use ghz_entanglement_routing::core::{Demand, NetworkParams, QuantumNetwork};
+use ghz_entanglement_routing::core::{Demand, NetworkParams, NetworkPlan, QuantumNetwork};
 use ghz_entanglement_routing::topology::{GeneratorKind, TopologyConfig};
 
 fn world(kind: GeneratorKind, seed: u64) -> (QuantumNetwork, Vec<Demand>) {
@@ -99,15 +99,29 @@ fn flows_connect_their_own_users() {
     }
 }
 
+/// Serial routing on the network's own capacities, recording no
+/// telemetry (the default registry is the disabled one).
+fn plan(net: &QuantumNetwork, demands: &[Demand], config: &RoutingConfig) -> NetworkPlan {
+    route(
+        net,
+        demands,
+        config,
+        &net.capacities(),
+        1,
+        &Default::default(),
+    )
+    .plan
+}
+
 #[test]
 fn alg4_and_merging_are_monotone_improvements() {
     for seed in [1, 2, 3] {
         let (mut net, demands) = world(KINDS[0], seed);
         net.set_uniform_link_success(Some(0.3));
-        let full = route(&net, &demands, &RoutingConfig::n_fusion()).total_rate(&net);
+        let full = plan(&net, &demands, &RoutingConfig::n_fusion()).total_rate(&net);
         let no_alg4 =
-            route(&net, &demands, &RoutingConfig::n_fusion_without_alg4()).total_rate(&net);
-        let no_merge = route(
+            plan(&net, &demands, &RoutingConfig::n_fusion_without_alg4()).total_rate(&net);
+        let no_merge = plan(
             &net,
             &demands,
             &RoutingConfig {

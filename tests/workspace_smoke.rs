@@ -9,7 +9,7 @@
 
 use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::{Demand, NetworkParams, QuantumNetwork};
-use ghz_entanglement_routing::sim::estimate_plan;
+use ghz_entanglement_routing::sim::{estimate_plan, McCounters};
 use ghz_entanglement_routing::topology::TopologyConfig;
 
 #[test]
@@ -40,7 +40,7 @@ fn waxman_alg_n_fusion_end_to_end() {
     );
 
     // Monte Carlo agreement: fixed seed, so this is deterministic.
-    let est = estimate_plan(&net, &plan, 4_000, 11);
+    let est = estimate_plan(&net, &plan, 4_000, 11, 1, &McCounters::default());
     assert!(est.total_rate() > 0.0, "simulation saw no successes");
     assert!(
         est.total_rate() <= analytic + 4.0 * est.total_stderr(),
