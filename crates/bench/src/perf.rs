@@ -154,7 +154,7 @@ pub fn run_workload(name: &str, reps: usize, registry: &Registry) -> BenchResult
             time_workload(name, reps, || {
                 for d in &demands {
                     for width in [1u32, 2, 3] {
-                        black_box(alg1::largest_rate_path_with(
+                        black_box(alg1::largest_rate_path(
                             &mut scratch,
                             &net,
                             d.source,

@@ -63,39 +63,15 @@ impl PathConstraints {
 /// a switch (Algorithm 2 spur searches) its own swap factor is *not*
 /// included — the caller accounts for it when joining segments.
 ///
+/// The search runs in the caller's `scratch`, so a loop of queries
+/// (Algorithm 2's reference Yen deviations, a multiparty hub probe)
+/// reuses one arena instead of allocating per call.
+///
 /// # Panics
 ///
 /// Panics if `capacity` is shorter than the node count or `width == 0`.
 #[must_use]
 pub fn largest_rate_path(
-    net: &QuantumNetwork,
-    source: NodeId,
-    dest: NodeId,
-    width: u32,
-    capacity: &[u32],
-    constraints: &PathConstraints,
-) -> Option<(Path, Metric)> {
-    let mut scratch = SearchScratch::with_capacity(net.node_count());
-    largest_rate_path_with(
-        &mut scratch,
-        net,
-        source,
-        dest,
-        width,
-        capacity,
-        constraints,
-    )
-}
-
-/// [`largest_rate_path`] with caller-provided search scratch: hot callers
-/// (Algorithm 2's Yen deviations, batched per-demand routing) reuse one
-/// arena across queries instead of allocating per call.
-///
-/// # Panics
-///
-/// Panics if `capacity` is shorter than the node count or `width == 0`.
-#[must_use]
-pub fn largest_rate_path_with(
     scratch: &mut SearchScratch,
     net: &QuantumNetwork,
     source: NodeId,
@@ -121,7 +97,7 @@ pub fn largest_rate_path_with(
     }
 
     let q = net.swap_success();
-    let best = search::max_product_dijkstra_with(
+    let best = search::max_product_resume(
         scratch,
         net.graph(),
         source,
@@ -147,7 +123,8 @@ pub fn largest_rate_path_with(
             // Transit through a node costs one fusion; users never relay.
             net.is_switch(via).then_some(q)
         },
-    );
+    )
+    .finish();
     best.path_to(dest)
 }
 
@@ -155,6 +132,18 @@ pub fn largest_rate_path_with(
 mod tests {
     use super::*;
     use crate::metrics::path_rate;
+
+    /// Algorithm 1 on a fresh scratch.
+    fn fresh(
+        net: &QuantumNetwork,
+        s: NodeId,
+        d: NodeId,
+        w: u32,
+        caps: &[u32],
+        cons: &PathConstraints,
+    ) -> Option<(Path, Metric)> {
+        largest_rate_path(&mut SearchScratch::new(), net, s, d, w, caps, cons)
+    }
 
     /// Network of Fig. 3 flavour: two users, four switches, a short lossy
     /// route and a longer reliable route.
@@ -192,7 +181,7 @@ mod tests {
         let (net, n) = two_route_net(10);
         let caps = net.capacities();
         let (path, metric) =
-            largest_rate_path(&net, n[0], n[5], 1, &caps, &PathConstraints::default()).unwrap();
+            fresh(&net, n[0], n[5], 1, &caps, &PathConstraints::default()).unwrap();
         assert_eq!(path.nodes(), &[n[0], n[3], n[4], n[5]], "short fibers win");
         let expect = path_rate(&net, &path, 1);
         assert!((metric.value() - expect.value()).abs() < 1e-12);
@@ -204,7 +193,7 @@ mod tests {
         let caps = net.capacities();
         let mut cons = PathConstraints::default();
         cons.ban_hop(n[3], n[4]);
-        let (path, _) = largest_rate_path(&net, n[0], n[5], 1, &caps, &cons).unwrap();
+        let (path, _) = fresh(&net, n[0], n[5], 1, &caps, &cons).unwrap();
         assert_eq!(path.nodes(), &[n[0], n[1], n[2], n[5]]);
     }
 
@@ -214,7 +203,7 @@ mod tests {
         let caps = net.capacities();
         let mut cons = PathConstraints::default();
         cons.ban_node(n[3]);
-        let (path, _) = largest_rate_path(&net, n[0], n[5], 1, &caps, &cons).unwrap();
+        let (path, _) = fresh(&net, n[0], n[5], 1, &caps, &cons).unwrap();
         assert!(!path.contains_node(n[3]));
     }
 
@@ -223,12 +212,8 @@ mod tests {
         // Capacity 4 supports width 2 paths (2w = 4) but not width 3.
         let (net, n) = two_route_net(4);
         let caps = net.capacities();
-        assert!(
-            largest_rate_path(&net, n[0], n[5], 2, &caps, &PathConstraints::default()).is_some()
-        );
-        assert!(
-            largest_rate_path(&net, n[0], n[5], 3, &caps, &PathConstraints::default()).is_none()
-        );
+        assert!(fresh(&net, n[0], n[5], 2, &caps, &PathConstraints::default()).is_some());
+        assert!(fresh(&net, n[0], n[5], 3, &caps, &PathConstraints::default()).is_none());
     }
 
     #[test]
@@ -236,19 +221,17 @@ mod tests {
         let (net, n) = two_route_net(10);
         let mut caps = net.capacities();
         caps[n[0].index()] = 1; // throttle the source
-        assert!(
-            largest_rate_path(&net, n[0], n[5], 2, &caps, &PathConstraints::default()).is_none()
-        );
+        assert!(fresh(&net, n[0], n[5], 2, &caps, &PathConstraints::default()).is_none());
     }
 
     #[test]
     fn wider_paths_have_higher_metric() {
         let (net, n) = two_route_net(10);
         let caps = net.capacities();
-        let m1 = largest_rate_path(&net, n[0], n[5], 1, &caps, &PathConstraints::default())
+        let m1 = fresh(&net, n[0], n[5], 1, &caps, &PathConstraints::default())
             .unwrap()
             .1;
-        let m2 = largest_rate_path(&net, n[0], n[5], 2, &caps, &PathConstraints::default())
+        let m2 = fresh(&net, n[0], n[5], 2, &caps, &PathConstraints::default())
             .unwrap()
             .1;
         assert!(m2 > m1, "width 2 must beat width 1 on the same route");
@@ -268,8 +251,7 @@ mod tests {
         b.link_with_length(s, mid_user, 1.0).unwrap_err(); // user-user rejected by builder
         let net = b.build();
         let caps = net.capacities();
-        let (path, _) =
-            largest_rate_path(&net, s, d, 1, &caps, &PathConstraints::default()).unwrap();
+        let (path, _) = fresh(&net, s, d, 1, &caps, &PathConstraints::default()).unwrap();
         assert_eq!(path.nodes(), &[s, sw, d]);
     }
 
@@ -277,13 +259,11 @@ mod tests {
     fn disconnected_or_same_returns_none() {
         let (net, n) = two_route_net(10);
         let caps = net.capacities();
-        assert!(
-            largest_rate_path(&net, n[0], n[0], 1, &caps, &PathConstraints::default()).is_none()
-        );
+        assert!(fresh(&net, n[0], n[0], 1, &caps, &PathConstraints::default()).is_none());
         let mut cons = PathConstraints::default();
         cons.ban_node(n[1]);
         cons.ban_node(n[3]);
-        assert!(largest_rate_path(&net, n[0], n[5], 1, &caps, &cons).is_none());
+        assert!(fresh(&net, n[0], n[5], 1, &caps, &cons).is_none());
     }
 
     #[test]
@@ -299,10 +279,12 @@ mod tests {
             if let Some(b) = banned {
                 cons.ban_node(b);
             }
-            let reused =
-                largest_rate_path_with(&mut scratch, &net, n[0], n[5], width, &caps, &cons);
-            let fresh = largest_rate_path(&net, n[0], n[5], width, &caps, &cons);
-            assert_eq!(reused, fresh, "width {width}, banned {banned:?}");
+            let reused = largest_rate_path(&mut scratch, &net, n[0], n[5], width, &caps, &cons);
+            assert_eq!(
+                reused,
+                fresh(&net, n[0], n[5], width, &caps, &cons),
+                "width {width}, banned {banned:?}"
+            );
         }
     }
 
@@ -312,10 +294,8 @@ mod tests {
         // argument).
         let (net, n) = two_route_net(10);
         let caps = net.capacities();
-        let (_, direct) =
-            largest_rate_path(&net, n[0], n[5], 1, &caps, &PathConstraints::default()).unwrap();
-        let (_, to_v3) =
-            largest_rate_path(&net, n[0], n[4], 1, &caps, &PathConstraints::default()).unwrap();
+        let (_, direct) = fresh(&net, n[0], n[5], 1, &caps, &PathConstraints::default()).unwrap();
+        let (_, to_v3) = fresh(&net, n[0], n[4], 1, &caps, &PathConstraints::default()).unwrap();
         assert!(to_v3 >= direct, "prefix metric must dominate");
     }
 }

@@ -84,7 +84,7 @@ use fusion_graph::{
 };
 use fusion_telemetry::{Counter, Registry};
 
-use crate::algorithms::alg1::{largest_rate_path_with, PathConstraints};
+use crate::algorithms::alg1::{largest_rate_path, PathConstraints};
 use crate::demand::{Demand, DemandId};
 use crate::flow::WidthedPath;
 use crate::metrics::path_rate;
@@ -397,7 +397,7 @@ fn stamp_bans(bans: &mut BanMask, constraints: &PathConstraints, n: usize) {
 
 /// Width-`width` largest-rate search from `source` to the demand's
 /// destination under the descent state: preconditions and feasibility
-/// rules are exactly those of [`largest_rate_path_with`] (the width view
+/// rules are exactly those of [`largest_rate_path`] (the width view
 /// encodes them — `endpoint_feasible` is `capacity >= w`,
 /// `relay_feasible` is "switch with `capacity >= 2w`"), but the search
 /// runs on the [`WidthSearch`] kernel — goal-directed (it stops when the
@@ -734,7 +734,7 @@ fn k_best_paths(
     scratch: &mut SearchScratch,
 ) -> Vec<Path> {
     let base = PathConstraints::default();
-    let Some((first, metric)) = largest_rate_path_with(
+    let Some((first, metric)) = largest_rate_path(
         scratch,
         net,
         demand.source,
@@ -802,15 +802,9 @@ fn k_best_paths(
                 cons.ban_node(n);
             }
 
-            let Some((spur, _)) = largest_rate_path_with(
-                scratch,
-                net,
-                spur_node,
-                demand.dest,
-                width,
-                capacity,
-                &cons,
-            ) else {
+            let Some((spur, _)) =
+                largest_rate_path(scratch, net, spur_node, demand.dest, width, capacity, &cons)
+            else {
                 continue;
             };
             let combined = root.join(&spur);

@@ -17,7 +17,7 @@ pub mod alg3_greedy;
 pub mod alg4;
 pub mod pipeline;
 
-pub use alg1::{largest_rate_path, largest_rate_path_with, PathConstraints};
+pub use alg1::{largest_rate_path, PathConstraints};
 pub use alg2::{
     paths_selection, paths_selection_reference, CandidatePath, SelectionCounters, SelectionEngine,
     SelectionQuery,

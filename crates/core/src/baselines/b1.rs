@@ -13,9 +13,7 @@
 //! and no Algorithm 4 widening happens afterwards. See DESIGN.md §3 for the
 //! substitution rationale (the original is defined on lattices only).
 
-use fusion_telemetry::Registry;
-
-use crate::algorithms::alg2::{paths_selection, SelectionQuery};
+use crate::algorithms::alg2::{SelectionEngine, SelectionQuery};
 use crate::demand::Demand;
 use crate::network::QuantumNetwork;
 use crate::plan::{NetworkPlan, SwapMode};
@@ -35,21 +33,16 @@ pub const DEFAULT_REGION_PATHS: usize = 2;
 pub fn route_b1(net: &QuantumNetwork, demands: &[Demand], region_paths: usize) -> NetworkPlan {
     let mut remaining = net.capacities();
     let mut plans = Vec::with_capacity(demands.len());
+    // Region discovery at width 1 under the residual capacity, on one
+    // engine: the network's channel tables and arc view are built once.
+    let mut engine = SelectionEngine::new();
+    let query = SelectionQuery {
+        h: region_paths.max(1),
+        max_width: 1,
+        mode: SwapMode::NFusion,
+    };
     for &demand in demands {
-        // Region discovery at width 1 under the residual capacity.
-        let query = SelectionQuery {
-            h: region_paths.max(1),
-            max_width: 1,
-            mode: SwapMode::NFusion,
-        };
-        let candidates = paths_selection(
-            net,
-            std::slice::from_ref(&demand),
-            &remaining,
-            query,
-            1,
-            &Registry::disabled(),
-        );
+        let candidates = engine.select_demand(net, &demand, &remaining, query);
         // Merge the region paths for this single pair; sharing is the
         // essence of the protocol (every region edge is used once).
         let outcome = paths_merge_with_budget(&demand, &candidates, &remaining);

@@ -20,7 +20,7 @@
 
 use std::fmt;
 
-use fusion_graph::{Metric, NodeId};
+use fusion_graph::{Metric, NodeId, SearchScratch};
 use serde::{Deserialize, Serialize};
 
 use crate::algorithms::alg1::{largest_rate_path, PathConstraints};
@@ -218,19 +218,21 @@ fn best_star(
     config: &MultipartyConfig,
     remaining: &[u32],
 ) -> Option<(NodeId, Vec<WidthedPath>)> {
-    // Rank hubs by the product of single-branch metrics, cheaply estimated
-    // with one Alg.-1 run per member against the residual capacity.
+    // Rank hubs by the product of single-branch metrics against the
+    // residual capacity.
+    let w = config.branch_width;
     let cons = PathConstraints::default();
+    let mut scratch = SearchScratch::new();
     let mut per_member: Vec<Vec<(NodeId, Metric)>> = Vec::new();
     for &m in &demand.members {
-        // Alg. 1 gives the best rate from the member to *every* node; we
-        // reuse it by probing each switch as a pseudo-destination.
+        // One Alg.-1 run per switch, probed as a pseudo-destination,
+        // gives the member's best single-branch rate to that switch.
         let mut reach: Vec<(NodeId, Metric)> = net
             .graph()
             .node_ids()
             .filter(|&v| net.is_switch(v))
             .filter_map(|v| {
-                largest_rate_path(net, m, v, config.branch_width, remaining, &cons)
+                largest_rate_path(&mut scratch, net, m, v, w, remaining, &cons)
                     .map(|(_, metric)| (v, metric))
             })
             .collect();
@@ -289,8 +291,9 @@ fn build_star(
     }
     let mut branches = Vec::with_capacity(demand.members.len());
     let mut cons = PathConstraints::default();
+    let mut scratch = SearchScratch::new();
     for &m in &demand.members {
-        let (path, _) = largest_rate_path(net, m, hub, w, &budget, &cons)?;
+        let (path, _) = largest_rate_path(&mut scratch, net, m, hub, w, &budget, &cons)?;
         // Branches must be internally disjoint (each switch fuses for this
         // state exactly once, at the hub or inside one branch).
         for &node in path.intermediates() {

@@ -277,12 +277,12 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(2_000))]
 
     /// The wide selection grid: more cases, larger networks, wider
     /// channels, and the p/q corners. Run explicitly with `-- --ignored`.
     #[test]
-    #[ignore = "wide differential grid; minutes of runtime, run with -- --ignored"]
+    #[ignore = "wide differential grid; ~11 s under --release, run with -- --ignored"]
     fn descent_selection_matches_reference_wide(
         switches in 10usize..120,
         pairs in 2usize..12,
@@ -311,11 +311,11 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
 
     /// The wide end-to-end grid. Run explicitly with `-- --ignored`.
     #[test]
-    #[ignore = "wide differential grid; minutes of runtime, run with -- --ignored"]
+    #[ignore = "wide differential grid; ~5 s under --release, run with -- --ignored"]
     fn route_with_descent_matches_sweep_wide(
         switches in 10usize..90,
         pairs in 2usize..10,

@@ -7,10 +7,9 @@
 //!   payloads, indexed by [`NodeId`] / [`EdgeId`].
 //! * [`Metric`] — a totally ordered, non-NaN `f64` wrapper used for
 //!   probability-product routing metrics.
-//! * [`search`] — Dijkstra (min-sum and max-product flavours), BFS,
-//!   connected components, resumable goal-directed runs, and
-//!   [`WidthSearch`], the flat max-product kernel of Algorithm 2.
-//! * [`yen`] — Yen's k-shortest loopless paths.
+//! * [`search`] — the resumable max-product Dijkstra run of Algorithm 1,
+//!   [`WidthSearch`], the flat max-product kernel of Algorithm 2, and
+//!   connected components.
 //! * [`feasibility`] — width-indexed capacity feasibility and the
 //!   incrementally-repaired reachability behind width-descent searches.
 //! * [`DisjointSets`] — union-find with path compression, used for
@@ -26,11 +25,15 @@
 //! let a = g.add_node("a");
 //! let b = g.add_node("b");
 //! let c = g.add_node("c");
-//! g.add_edge(a, b, 1.0);
-//! g.add_edge(b, c, 2.0);
+//! g.add_edge(a, b, 0.5);
+//! g.add_edge(b, c, 0.5);
 //!
-//! let dist = search::dijkstra(&g, a, |_, w| *w);
-//! assert_eq!(dist.distance(c), Some(3.0));
+//! // Edge factors multiply along a path; passing through `b` costs 0.5.
+//! let mut scratch = search::SearchScratch::new();
+//! let best =
+//!     search::max_product_resume(&mut scratch, &g, a, |_, e| Some(*e.weight), |_| Some(0.5))
+//!         .finish();
+//! assert_eq!(best.metric(c).value(), 0.125);
 //! ```
 //!
 //! This crate is one layer of the stack mapped in `docs/ARCHITECTURE.md`
@@ -48,7 +51,6 @@ mod unionfind;
 
 pub mod feasibility;
 pub mod search;
-pub mod yen;
 
 pub use feasibility::{DescentReach, WidthFeasibility};
 pub use graph::{EdgeId, EdgeRef, NodeId, UnGraph};

@@ -217,14 +217,14 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
 
     /// The wide grid: larger worlds, longer traces, heavier load (small
     /// mean holding pushes churn; large pushes saturation), harsher p/q
     /// corners, and recurring user pools. Run explicitly with
     /// `-- --ignored`.
     #[test]
-    #[ignore = "wide service-oracle grid; minutes of runtime, run with -- --ignored"]
+    #[ignore = "wide service-oracle grid; ~13 s under --release, run with -- --ignored"]
     fn service_oracles_hold_wide(
         switches in 10usize..80,
         pairs in 2usize..10,

@@ -166,12 +166,12 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
 
     /// Wide grid for the scheduled `wide-differential` workflow: larger
     /// networks, longer traces, heavier MC sampling.
     #[test]
-    #[ignore = "wide telemetry-determinism grid; minutes of runtime, run with -- --ignored"]
+    #[ignore = "wide telemetry-determinism grid; ~5 s under --release, run with -- --ignored"]
     fn snapshots_are_byte_identical_across_replays_wide(
         switches in 10usize..70,
         pairs in 2usize..8,

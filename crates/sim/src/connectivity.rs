@@ -14,34 +14,6 @@ use fusion_core::{DemandPlan, QuantumNetwork, SwapMode};
 use fusion_graph::{GenerationalDisjointSets, NodeId};
 use rand::Rng;
 
-/// Samples one protocol round for a demand routed under `mode`.
-/// Returns `true` when the demanded state is established.
-///
-/// Convenience wrapper that rebuilds the sampling state per call; tight
-/// loops should build a [`PlanSampler`] once and call
-/// [`PlanSampler::sample`] per round.
-pub fn sample_round(
-    net: &QuantumNetwork,
-    plan: &DemandPlan,
-    mode: SwapMode,
-    rng: &mut impl Rng,
-) -> bool {
-    PlanSampler::new(net, plan, mode).sample(rng)
-}
-
-/// One n-fusion round: percolation over the flow-like graph. Rebuilds the
-/// sampling state per call — see [`FlowSampler`] for the loop-friendly
-/// form.
-pub fn sample_flow_round(net: &QuantumNetwork, plan: &DemandPlan, rng: &mut impl Rng) -> bool {
-    FlowSampler::new(net, plan).sample(rng)
-}
-
-/// One classic-swapping round. Rebuilds the sampling state per call — see
-/// [`ClassicSampler`] for the loop-friendly form.
-pub fn sample_classic_round(net: &QuantumNetwork, plan: &DemandPlan, rng: &mut impl Rng) -> bool {
-    ClassicSampler::new(net, plan).sample(rng)
-}
-
 /// Reusable per-demand round sampler for either swapping technology.
 ///
 /// Construction resolves every graph lookup (node indexing, hop → edge,
@@ -260,12 +232,8 @@ mod tests {
         seed: u64,
     ) -> f64 {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut hits = 0usize;
-        for _ in 0..rounds {
-            if sample_round(net, plan, mode, &mut rng) {
-                hits += 1;
-            }
-        }
+        let mut sampler = PlanSampler::new(net, plan, mode);
+        let hits = (0..rounds).filter(|_| sampler.sample(&mut rng)).count();
         hits as f64 / rounds as f64
     }
 
@@ -320,7 +288,7 @@ mod tests {
         );
     }
 
-    /// Verbatim copy of the pre-sampler `sample_flow_round`: rebuilds the
+    /// Verbatim copy of the pre-sampler n-fusion round: rebuilds the
     /// index map and union-find from scratch every round. Kept as the
     /// reference the reusable sampler must match draw-for-draw.
     fn naive_flow_round(net: &QuantumNetwork, plan: &DemandPlan, rng: &mut impl rand::Rng) -> bool {
@@ -422,8 +390,9 @@ mod tests {
         plan.paths.clear();
         plan.flow = fusion_core::FlowGraph::new(plan.demand.source, plan.demand.dest);
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(!sample_round(&net, &plan, SwapMode::NFusion, &mut rng));
-        assert!(!sample_round(&net, &plan, SwapMode::Classic, &mut rng));
+        for mode in [SwapMode::NFusion, SwapMode::Classic] {
+            assert!(!PlanSampler::new(&net, &plan, mode).sample(&mut rng));
+        }
     }
 
     #[test]
@@ -435,8 +404,9 @@ mod tests {
         };
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
-            assert!(sample_round(&net, &plan, SwapMode::NFusion, &mut rng));
-            assert!(sample_round(&net, &plan, SwapMode::Classic, &mut rng));
+            for mode in [SwapMode::NFusion, SwapMode::Classic] {
+                assert!(PlanSampler::new(&net, &plan, mode).sample(&mut rng));
+            }
         }
     }
 }

@@ -17,7 +17,7 @@ use fusion_telemetry::Registry;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
-use crate::connectivity::sample_round;
+use crate::connectivity::PlanSampler;
 
 /// One demand template with its arrival round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -176,7 +176,7 @@ pub fn run_timeline(
             }
             let outcome = &mut outcomes[i];
             outcome.attempts += 1;
-            if sample_round(net, &current_plan.plans[slot], current_plan.mode, rng) {
+            if PlanSampler::new(net, &current_plan.plans[slot], current_plan.mode).sample(rng) {
                 outcome.served = Some(round);
                 departed.push(i);
             } else if config

@@ -12,7 +12,7 @@ use ghz_entanglement_routing::core::algorithms::{alg2, alg3};
 use ghz_entanglement_routing::core::{
     metrics, Demand, DemandId, FlowGraph, QuantumNetwork, SwapMode,
 };
-use ghz_entanglement_routing::graph::{NodeId, Path};
+use ghz_entanglement_routing::graph::{NodeId, Path, SearchScratch};
 use ghz_entanglement_routing::sim;
 use proptest::prelude::*;
 
@@ -104,7 +104,7 @@ proptest! {
     fn alg1_is_optimal((net, caps) in arbitrary_network(), width in 1u32..4) {
         let (s, d) = (NodeId::new(0), NodeId::new(1));
         let cons = PathConstraints::default();
-        let ours = largest_rate_path(&net, s, d, width, &caps, &cons);
+        let ours = largest_rate_path(&mut SearchScratch::new(), &net, s, d, width, &caps, &cons);
         let truth = brute_force_best(&net, s, d, width, &caps);
         match (ours, truth) {
             (None, None) => {}

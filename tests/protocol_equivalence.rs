@@ -8,8 +8,8 @@ use ghz_entanglement_routing::core::algorithms::alg_n_fusion;
 use ghz_entanglement_routing::core::{Demand, NetworkParams, QuantumNetwork};
 use ghz_entanglement_routing::quantum::stabilizer::{fuse_groups, measure_out_x, Tableau};
 use ghz_entanglement_routing::quantum::EntanglementRegistry;
-use ghz_entanglement_routing::sim::connectivity::sample_flow_round;
 use ghz_entanglement_routing::sim::protocol::simulate_round;
+use ghz_entanglement_routing::sim::FlowSampler;
 use ghz_entanglement_routing::topology::TopologyConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,7 +42,7 @@ fn registry_protocol_tracks_percolation_rates() {
             if simulate_round(&net, dp, &mut rng).established {
                 protocol_hits += 1;
             }
-            if sample_flow_round(&net, dp, &mut rng) {
+            if FlowSampler::new(&net, dp).sample(&mut rng) {
                 percolation_hits += 1;
             }
         }
